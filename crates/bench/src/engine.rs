@@ -37,9 +37,12 @@
 //!    * L2 stream-prefetcher groups (fig6d): the stream prefetcher
 //!      trains on demand *misses*, which are geometry-dependent, so no
 //!      shared schedule exists; each config replays the once-derived L2
-//!      stream through a folded bank cache + [`StreamPrefetcher`] —
-//!      still eliding the scheduler, the L1s and the MSHRs, which
-//!      dominate the direct path's cost.
+//!      stream through a flat folded-bank LRU + allocation-free stream
+//!      prefetcher ([`StreamPrefetcher::observe_into`]), replayed per
+//!      config — still eliding the scheduler, the L1s and the MSHRs,
+//!      which dominate the direct path's cost. The bank keeps only the
+//!      tag/stamp state the miss rate depends on; [`Cache`] stays the
+//!      independent oracle the tests replay against.
 //!
 //! Anything the plan can't prove sweepable — replacement policies other
 //! than LRU/FIFO, prefetcher parameters outside the supported envelope,
@@ -585,39 +588,120 @@ fn derive_l2_stream(capture: &CapturedStream, hier: &HierarchyConfig) -> Vec<(u6
     out
 }
 
-/// Replays the derived L2 stream through one folded bank cache plus a
+/// One folded L2 bank for the stream-prefetcher replay: a flat LRU
+/// holding only the state the demand miss rate depends on. Dirty bits,
+/// prefetch flags and write-backs never change which lines are resident,
+/// so they are dropped. Replacement equals [`Cache`]'s LRU path: the
+/// victim is the first invalid way, else the first way with the minimum
+/// stamp, and the clock ticks once per hit and once per fill.
+struct LruBank {
+    tags: Vec<u64>,
+    /// Last-use time per way; 0 marks an invalid way (every fill stamps
+    /// at least 1), so the first minimum is also the first invalid way.
+    stamps: Vec<u64>,
+    clock: u64,
+    set_mask: u64,
+    assoc: usize,
+}
+
+impl LruBank {
+    fn new(cfg: CacheConfig) -> Self {
+        let ways = cfg.num_lines() as usize;
+        LruBank {
+            tags: vec![0; ways],
+            stamps: vec![0; ways],
+            clock: 0,
+            set_mask: cfg.num_sets() - 1,
+            assoc: cfg.assoc as usize,
+        }
+    }
+
+    /// One scan of `line`'s set: `Ok(way)` if resident, else
+    /// `Err(victim)`. The scan visits every way without an early exit
+    /// (a line is resident in at most one way, so the match is unique):
+    /// the hit position and the hit/miss outcome are unpredictable, and
+    /// a branch-free scan halves the replay's cost against one that
+    /// returns at the match.
+    #[inline]
+    fn lookup(&self, line: u64) -> Result<usize, usize> {
+        let base = (line & self.set_mask) as usize * self.assoc;
+        let tags = &self.tags[base..base + self.assoc];
+        let stamps = &self.stamps[base..base + self.assoc];
+        let (mut hit, mut victim, mut oldest) = (usize::MAX, 0, u64::MAX);
+        for (w, (&tag, &stamp)) in tags.iter().zip(stamps).enumerate() {
+            if (tag == line) & (stamp != 0) {
+                hit = w;
+            }
+            if stamp < oldest {
+                oldest = stamp;
+                victim = w;
+            }
+        }
+        if hit == usize::MAX {
+            Err(base + victim)
+        } else {
+            Ok(base + hit)
+        }
+    }
+
+    /// Stamps `way` with the next clock tick, filling it with `line`.
+    #[inline]
+    fn stamp(&mut self, way: usize, line: u64) {
+        self.clock += 1;
+        self.tags[way] = line;
+        self.stamps[way] = self.clock;
+    }
+
+    /// Demand access with allocate-on-miss; returns `true` on a hit.
+    #[inline]
+    fn access(&mut self, line: u64) -> bool {
+        let (way, hit) = match self.lookup(line) {
+            Ok(way) => (way, true),
+            Err(victim) => (victim, false),
+        };
+        self.stamp(way, line);
+        hit
+    }
+
+    /// Prefetch fill: installs `line` unless it is already resident (a
+    /// resident line keeps its recency, as with `Cache::prefetch_fill`).
+    #[inline]
+    fn prefetch(&mut self, line: u64) {
+        if let Err(victim) = self.lookup(line) {
+            self.stamp(victim, line);
+        }
+    }
+}
+
+/// Replays the derived L2 stream through one folded [`LruBank`] plus a
 /// [`StreamPrefetcher`], mirroring `GpuHierarchy::l2_demand`: the
 /// prefetcher trains on demand misses (loads *and* stores), and each
-/// candidate is probed and conditionally prefetch-filled. Exact by the
-/// same bank-folding bijection as the demand-only path — a folded probe
-/// answers exactly what the candidate's home bank would.
+/// candidate not already resident is prefetch-filled. Exact by the same
+/// bank-folding bijection as the demand-only path — a folded lookup
+/// answers exactly what the candidate's home bank would. Allocation-free
+/// per access: one reused candidate buffer, one set scan per lookup.
 fn replay_l2_prefetch(
     bank_cfg: CacheConfig,
     pf_cfg: StreamPrefetcherConfig,
     stream: &[LineAccess],
 ) -> f64 {
-    let mut cache = Cache::new(bank_cfg);
+    let mut bank = LruBank::new(bank_cfg);
     let mut pf = StreamPrefetcher::new(pf_cfg);
+    let mut candidates = Vec::with_capacity(pf_cfg.degree as usize);
+    let mut misses = 0u64;
     for acc in stream {
-        let out = cache.request(AccessRequest {
-            line: acc.line,
-            is_write: acc.is_write,
-            allocate_on_miss: true,
-            mark_dirty: acc.is_write,
-        });
-        if !out.hit {
-            for cand in pf.observe(acc.line) {
-                if !cache.probe(cand) {
-                    cache.prefetch_fill(cand);
-                }
+        if !bank.access(acc.line) {
+            misses += 1;
+            pf.observe_into(acc.line, &mut candidates);
+            for &cand in &candidates {
+                bank.prefetch(cand);
             }
         }
     }
-    let s = cache.stats();
-    if s.accesses == 0 {
+    if stream.is_empty() {
         0.0
     } else {
-        s.misses as f64 / s.accesses as f64 * 100.0
+        misses as f64 / stream.len() as f64 * 100.0
     }
 }
 

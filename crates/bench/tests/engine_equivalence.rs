@@ -1,14 +1,16 @@
-//! Property test: the single-pass sweep engine is numerically equivalent
+//! Property tests: the single-pass sweep engine is numerically equivalent
 //! to an independent per-config replay of the captured reference stream,
-//! on *randomized* grids — geometry, replacement policy, and stride
-//! prefetcher parameters all drawn at random.
+//! on *randomized* grids — geometry, replacement policy, and prefetcher
+//! parameters all drawn at random, for L1 (stride prefetcher) and L2
+//! (stream prefetcher) sweeps.
 //!
-//! The oracle mirrors `GpuHierarchy`'s L1 demand path structurally
-//! (separate `request` + `demand_fill`, per-core stride prefetchers with
-//! probe-then-fill candidate installation) and never touches the
-//! stack-distance code, so any disagreement is an engine bug, not a
-//! shared one. Tolerance 1e-9: both sides count integer hits/misses, so
-//! the only slack needed is the final percentage division.
+//! The oracles mirror `GpuHierarchy`'s demand paths structurally
+//! (separate `request` + `demand_fill`, probe-then-fill candidate
+//! installation, a banked L2 array) over [`Cache`], and never touch the
+//! stack-distance code or the engine's folded L2 bank, so any
+//! disagreement is an engine bug, not a shared one. Tolerance 1e-9: both
+//! sides count integer hits/misses, so the only slack needed is the final
+//! percentage division.
 
 use gmap_bench::engine::{self, CapturedStream};
 use gmap_bench::prepare;
@@ -16,7 +18,9 @@ use gmap_core::SimtConfig;
 use gmap_gpu::workloads::Scale;
 use gmap_memsim::cache::AccessRequest;
 use gmap_memsim::hierarchy::L1WritePolicy;
-use gmap_memsim::prefetch::{StridePrefetcher, StridePrefetcherConfig};
+use gmap_memsim::prefetch::{
+    StreamPrefetcher, StreamPrefetcherConfig, StridePrefetcher, StridePrefetcherConfig,
+};
 use gmap_memsim::{Cache, CacheConfig, ReplacementPolicy};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -33,6 +37,23 @@ fn capture() -> &'static (Arc<CapturedStream>, SimtConfig) {
             gmap_bench::Metric::L1MissPct,
         )
         .expect("stock L1 grid plans");
+        let cap =
+            engine::capture_stream(&data.orig_streams, &data.kernel.launch, &plan.capture_cfg);
+        (Arc::new(cap), plan.capture_cfg)
+    })
+}
+
+/// The L2 sweeps' shared capture: bfs, irregular enough that random
+/// grids score L2 miss rates anywhere from ~4% to ~97%.
+fn l2_capture() -> &'static (Arc<CapturedStream>, SimtConfig) {
+    static CAPTURE: OnceLock<(Arc<CapturedStream>, SimtConfig)> = OnceLock::new();
+    CAPTURE.get_or_init(|| {
+        let data = prepare("bfs", Scale::Tiny, 42);
+        let plan = engine::plan_single_pass(
+            &gmap_bench::sweeps::l2_prefetch_sweep(),
+            gmap_bench::Metric::L2MissPct,
+        )
+        .expect("stock L2 prefetch grid plans");
         let cap =
             engine::capture_stream(&data.orig_streams, &data.kernel.launch, &plan.capture_cfg);
         (Arc::new(cap), plan.capture_cfg)
@@ -98,6 +119,76 @@ fn direct_series(capture: &CapturedStream, configs: &[SimtConfig]) -> Vec<f64> {
         .collect()
 }
 
+/// Independent per-config replay of an L2 sweep (the oracle): per-core
+/// write-through no-allocate L1s forward read misses, their victims and
+/// every store to a *banked* L2 (bank = line mod banks); the shared
+/// stream prefetcher trains on L2 demand misses and each candidate is
+/// probed in its home bank and prefetch-filled if absent, as in
+/// `GpuHierarchy::l2_demand`.
+fn direct_l2_series(capture: &CapturedStream, configs: &[SimtConfig]) -> Vec<f64> {
+    configs
+        .iter()
+        .map(|cfg| {
+            let hier = &cfg.hierarchy;
+            assert_eq!(hier.l1_write_policy, L1WritePolicy::WriteThroughNoAllocate);
+            let l1_shift = hier.l1.line_size.trailing_zeros();
+            let l2_shift = hier.l2.line_size.trailing_zeros();
+            let banks = hier.l2_banks as u64;
+            let bank_cfg = hier.l2_bank_config().expect("strategy geometry is valid");
+            let mut l1s: Vec<Cache> = (0..capture.cores).map(|_| Cache::new(hier.l1)).collect();
+            let mut l2: Vec<Cache> = (0..banks).map(|_| Cache::new(bank_cfg)).collect();
+            let mut pf = hier.l2_prefetch.map(StreamPrefetcher::new);
+            let mut l2_access = |addr: u64, is_write: bool| {
+                let line = addr >> l2_shift;
+                let hit = l2[(line % banks) as usize]
+                    .request(AccessRequest {
+                        line,
+                        is_write,
+                        allocate_on_miss: true,
+                        mark_dirty: is_write,
+                    })
+                    .hit;
+                if let (false, Some(pf)) = (hit, pf.as_mut()) {
+                    for cand in pf.observe(line) {
+                        let bank = &mut l2[(cand % banks) as usize];
+                        if !bank.probe(cand) {
+                            bank.prefetch_fill(cand);
+                        }
+                    }
+                }
+            };
+            for a in &capture.accesses {
+                let line = a.addr >> l1_shift;
+                let l1 = &mut l1s[a.core as usize];
+                let hit = l1
+                    .request(AccessRequest {
+                        line,
+                        is_write: a.is_write,
+                        allocate_on_miss: false,
+                        mark_dirty: false,
+                    })
+                    .hit;
+                if a.is_write {
+                    l2_access(a.addr, true);
+                } else if !hit {
+                    l2_access(a.addr, false);
+                    if let Some(victim) = l1.demand_fill(line) {
+                        l2_access(victim << l1_shift, true);
+                    }
+                }
+            }
+            let (acc, miss) = l2.iter().fold((0u64, 0u64), |(a, m), c| {
+                (a + c.stats().accesses, m + c.stats().misses)
+            });
+            if acc == 0 {
+                0.0
+            } else {
+                miss as f64 / acc as f64 * 100.0
+            }
+        })
+        .collect()
+}
+
 /// A random single-pass-eligible L1 config: LRU (optionally with a
 /// stride prefetcher) or FIFO (never with one — the planner rejects that
 /// combination).
@@ -140,6 +231,30 @@ fn l1_config() -> impl Strategy<Value = SimtConfig> {
     )
 }
 
+/// A random L2 + stream-prefetcher config `plan_single_pass` accepts:
+/// LRU, a per-bank set count that is a power of two no smaller than the
+/// bank count (8), any associativity, and prefetcher parameters spanning
+/// one stream (constant stream-LRU replacement) to 32.
+fn l2_prefetch_config() -> impl Strategy<Value = SimtConfig> {
+    let geometry = (3u32..=9, 1u32..=16, prop_oneof![Just(64u64), Just(128)]);
+    let prefetch = (1u32..=32, 1u32..=64, 1u32..=8);
+    (geometry, prefetch).prop_map(
+        |((sets_log2, assoc, line), (num_streams, window, degree))| {
+            let mut cfg = SimtConfig::default();
+            let banks = cfg.hierarchy.l2_banks as u64;
+            let size = (1u64 << sets_log2) * assoc as u64 * line * banks;
+            cfg.hierarchy.l2 = CacheConfig::new(size, assoc, line, ReplacementPolicy::Lru)
+                .expect("strategy geometry is valid");
+            cfg.hierarchy.l2_prefetch = Some(StreamPrefetcherConfig {
+                num_streams,
+                window,
+                degree,
+            });
+            cfg
+        },
+    )
+}
+
 proptest! {
     // Each case replays the full captured stream once per config on the
     // oracle side; a handful of cases over 2–5 config grids already
@@ -165,6 +280,37 @@ proptest! {
                 (e - d).abs() < 1e-9,
                 "config {i}: engine {e} vs direct {d} (cfg {:?})",
                 grid[i].hierarchy.l1
+            );
+        }
+    }
+}
+
+proptest! {
+    // Each case replays a ~23k-access bfs capture per config; all 32
+    // cases take about a second, so this block draws more grids than
+    // the L1 one.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn l2_stream_prefetch_engine_matches_banked_replay_on_random_grids(
+        grid in proptest::collection::vec(l2_prefetch_config(), 2..=5)
+    ) {
+        let (cap, capture_cfg) = l2_capture();
+        let plan = engine::plan_single_pass(&grid, gmap_bench::Metric::L2MissPct)
+            .expect("strategy only emits single-pass-eligible grids");
+        prop_assert!(
+            plan.capture_cfg == *capture_cfg,
+            "every masked L2 grid shares the stock reference config"
+        );
+        prop_assert!(plan.groups.iter().all(|g| g.l2_prefetch.is_some()));
+        let engine_vals = engine::eval_captured(&plan, cap, &grid).values;
+        let direct_vals = direct_l2_series(cap, &grid);
+        for (i, (e, d)) in engine_vals.iter().zip(&direct_vals).enumerate() {
+            prop_assert!(
+                (e - d).abs() < 1e-9,
+                "config {i}: engine {e} vs direct {d} (cfg {:?}, {:?})",
+                grid[i].hierarchy.l2,
+                grid[i].hierarchy.l2_prefetch
             );
         }
     }

@@ -677,7 +677,7 @@ mod tests {
         c.access(0, true);
         c.access(1, false);
         assert!(c.invalidate(0));
-        assert!(!c.invalidate(1) || true); // clean line
+        assert!(!c.invalidate(1)); // clean line
         assert!(!c.probe(0));
         assert!(!c.invalidate(42)); // absent line
     }

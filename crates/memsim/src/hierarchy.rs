@@ -190,6 +190,8 @@ pub struct GpuHierarchy {
     l2: Vec<Cache>,
     l1_pf: Vec<Option<StridePrefetcher>>,
     l2_pf: Option<StreamPrefetcher>,
+    /// Reused candidate buffer for `l2_pf` (no allocation per miss).
+    l2_pf_candidates: Vec<u64>,
     mem_trace: Vec<MemRequest>,
     mem_reads: u64,
     mem_writes: u64,
@@ -220,6 +222,7 @@ impl GpuHierarchy {
             l2,
             l1_pf,
             l2_pf,
+            l2_pf_candidates: Vec::new(),
             mem_trace: Vec::new(),
             mem_reads: 0,
             mem_writes: 0,
@@ -329,19 +332,19 @@ impl GpuHierarchy {
         } else {
             self.send_mem(l2_line, AccessKind::Read, cycle);
             // Stream prefetcher trains on demand misses.
-            let candidates = self
-                .l2_pf
-                .as_mut()
-                .map(|pf| pf.observe(l2_line))
-                .unwrap_or_default();
-            for cand in candidates {
-                let b = self.bank_of(cand);
-                if !self.l2[b].probe(cand) {
-                    self.send_mem(cand, AccessKind::Read, cycle);
-                    if let Some(victim) = self.l2[b].prefetch_fill(cand) {
-                        self.send_mem(victim, AccessKind::Write, cycle);
+            if let Some(pf) = self.l2_pf.as_mut() {
+                let mut candidates = std::mem::take(&mut self.l2_pf_candidates);
+                pf.observe_into(l2_line, &mut candidates);
+                for &cand in &candidates {
+                    let b = self.bank_of(cand);
+                    if !self.l2[b].probe(cand) {
+                        self.send_mem(cand, AccessKind::Read, cycle);
+                        if let Some(victim) = self.l2[b].prefetch_fill(cand) {
+                            self.send_mem(victim, AccessKind::Write, cycle);
+                        }
                     }
                 }
+                self.l2_pf_candidates = candidates;
             }
             self.cfg.l2_hit_latency + self.cfg.mem_latency
         }
