@@ -1,17 +1,15 @@
-//! Criterion benchmarks of the four dual-path hot kernels, scalar vs
-//! batched: stack-distance counting, histogram binning, warp coalescing,
-//! and DRAM address decomposition. The perf tracker (`perf --smoke`) runs
+//! Criterion benchmarks of the three dual-path hot kernels, scalar vs
+//! batched: stack-distance counting, histogram binning, and DRAM address
+//! decomposition. The perf tracker (`perf --smoke`) runs
 //! the same comparisons headlessly and records the per-kernel speedups in
 //! BENCH_sweep.json; this harness is the interactive view of the same
 //! trade.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use gmap_dram::mapping::{AddressMapping, DramGeometry, MappingPlan};
-use gmap_gpu::coalesce::coalesce_addrs_into;
 use gmap_memsim::cache::{CacheConfig, ReplacementPolicy};
 use gmap_memsim::stackdist::{evaluate_lru_multi_with_mode, LineAccess, WriteMode};
 use gmap_trace::batch::KernelMode;
-use gmap_trace::record::ByteAddr;
 use gmap_trace::{Histogram, Rng};
 
 const MODES: [(&str, KernelMode); 2] = [
@@ -102,37 +100,6 @@ fn bench_histogram(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_coalesce(c: &mut Criterion) {
-    // 2000 warp instructions × 32 lanes, mixed unit-stride and scattered.
-    let mut rng = Rng::seed_from(13);
-    let warps: Vec<Vec<ByteAddr>> = (0..2_000)
-        .map(|w| {
-            if w % 2 == 0 {
-                let base = rng.gen_range(1 << 20);
-                (0..32).map(|i| ByteAddr(base + 4 * i)).collect()
-            } else {
-                (0..32).map(|_| ByteAddr(rng.gen_range(1 << 20))).collect()
-            }
-        })
-        .collect();
-    let mut group = c.benchmark_group("coalesce_2k_warps");
-    group.throughput(Throughput::Elements(32 * warps.len() as u64));
-    for (name, kmode) in MODES {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut out = Vec::new();
-                let mut txns = 0usize;
-                for addrs in &warps {
-                    coalesce_addrs_into(black_box(addrs), 128, kmode, &mut out);
-                    txns += out.len();
-                }
-                black_box(txns)
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_dram_decompose(c: &mut Criterion) {
     let mut rng = Rng::seed_from(17);
     let addrs: Vec<u64> = (0..100_000).map(|_| rng.gen_range(1 << 32)).collect();
@@ -154,6 +121,6 @@ fn bench_dram_decompose(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_stackdist, bench_histogram, bench_coalesce, bench_dram_decompose
+    targets = bench_stackdist, bench_histogram, bench_dram_decompose
 }
 criterion_main!(benches);

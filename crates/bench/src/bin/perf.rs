@@ -12,11 +12,9 @@
 use gmap_bench::{engine, prepare, sweep_benchmark, sweeps, BenchData, ExperimentOpts, Metric};
 use gmap_core::SimtConfig;
 use gmap_dram::mapping::{decompose, AddressMapping, DramGeometry, MappingPlan};
-use gmap_gpu::coalesce::coalesce_addrs_into;
 use gmap_memsim::cache::{CacheConfig, ReplacementPolicy};
 use gmap_memsim::stackdist::{evaluate_lru_multi_with_mode, LineAccess, WriteMode};
 use gmap_trace::batch::KernelMode;
-use gmap_trace::record::ByteAddr;
 use gmap_trace::{Histogram, LatencyHistogram, Rng};
 use serde::Serialize;
 use std::time::Instant;
@@ -123,7 +121,7 @@ fn time_best_of<F: FnMut()>(mut f: F, reps: usize, rounds: usize) -> f64 {
     best
 }
 
-/// Times the four dual-path kernels on synthetic workloads shaped like
+/// Times the three dual-path kernels on synthetic workloads shaped like
 /// what the engine feeds them (same shapes as `benches/kernels.rs`).
 fn kernel_microbench() -> Vec<KernelTiming> {
     let mut out = Vec::new();
@@ -212,40 +210,6 @@ fn kernel_microbench() -> Vec<KernelTiming> {
         time_hist(KernelMode::Batched),
     );
 
-    // Warp coalescing: 2000 warps × 32 lanes, alternating unit-stride
-    // and scattered.
-    let mut rng = Rng::seed_from(13);
-    let warps: Vec<Vec<ByteAddr>> = (0..2_000)
-        .map(|w| {
-            if w % 2 == 0 {
-                let base = rng.gen_range(1 << 20);
-                (0..32).map(|i| ByteAddr(base + 4 * i)).collect()
-            } else {
-                (0..32).map(|_| ByteAddr(rng.gen_range(1 << 20))).collect()
-            }
-        })
-        .collect();
-    let time_coalesce = |kmode| {
-        let mut buf = Vec::new();
-        time_best_of(
-            || {
-                let mut txns = 0usize;
-                for addrs in &warps {
-                    coalesce_addrs_into(addrs, 128, kmode, &mut buf);
-                    txns += buf.len();
-                }
-                assert!(txns > 0);
-            },
-            60,
-            5,
-        )
-    };
-    push(
-        "coalesce",
-        time_coalesce(KernelMode::Scalar),
-        time_coalesce(KernelMode::Batched),
-    );
-
     // DRAM decomposition: the scalar side is the original field-consuming
     // `decompose` (per-call width derivation), the batched side the
     // precompiled plan — that pair is exactly what the DRAM front-end
@@ -298,7 +262,7 @@ struct PerfReport {
     /// Capture-cache counters of the cross-figure reuse pass (all five
     /// grids evaluated back to back without clearing).
     capture_reuse: CaptureReuse,
-    /// Scalar-vs-batched microbenchmarks of the four dual-path kernels.
+    /// Scalar-vs-batched microbenchmarks of the three dual-path kernels.
     kernels: Vec<KernelTiming>,
 }
 

@@ -50,9 +50,15 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 
 /// Deserialize an instance of `T` from a JSON string.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
+    Ok(T::from_value(&parse(s)?)?)
+}
+
+/// Parses one complete JSON document into a [`Value`].
+fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -60,7 +66,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     if p.pos != p.bytes.len() {
         return Err(Error::new(format!("trailing input at byte {}", p.pos)));
     }
-    Ok(T::from_value(&v)?)
+    Ok(v)
 }
 
 // ---------------------------------------------------------------------------
@@ -178,9 +184,19 @@ fn render_string(s: &str, out: &mut String) {
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Deepest value nesting [`from_str`] accepts (an array of scalars is
+/// two levels). The parser is recursive, so without a bound a small
+/// hostile document (20,000 `[` is ~40 KB) overflows the thread's stack
+/// and aborts the process; past this depth parsing fails with an
+/// [`Error`] instead. The documents this workspace writes nest far less
+/// deeply.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Values currently being parsed, outermost included.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -219,7 +235,21 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses one value, refusing to descend past [`MAX_DEPTH`].
     fn parse_value(&mut self) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = self.parse_unguarded();
+        self.depth -= 1;
+        v
+    }
+
+    fn parse_unguarded(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
             Some(b'n') => {
@@ -423,5 +453,20 @@ mod tests {
         let opt: Option<u32> = None;
         assert_eq!(to_string(&opt).unwrap(), "null");
         assert_eq!(from_str::<Option<u32>>("null").unwrap(), None);
+    }
+
+    #[test]
+    fn nesting_beyond_the_depth_limit_is_an_error_not_a_stack_overflow() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        // 20,000 levels (~40 KB) used to overflow the recursive parser.
+        let err = parse(&nested("[", "]", 20_000)).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
+        let err = parse(&nested("{\"a\":", "}", 20_000)).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
+        // The limit itself still parses; one level more does not.
+        assert!(parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nested("[", "]", MAX_DEPTH + 1)).is_err());
     }
 }

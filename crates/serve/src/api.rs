@@ -8,7 +8,6 @@
 //! them byte-for-byte against direct library calls.
 
 use gmap_analyze::StaticReport;
-use gmap_core::application::AppProfile;
 use gmap_core::fidelity::FidelityClass;
 use gmap_gpu::kernel::KernelDesc;
 use gmap_gpu::workloads::Scale;
@@ -284,42 +283,6 @@ pub struct EvaluateResponse {
     pub single_pass: bool,
     /// Metric value per grid point, in request order.
     pub values: Vec<f64>,
-}
-
-/// `POST /v1/replicate` body: an internal fleet endpoint carrying one
-/// content-addressed model from a peer. The receiver validates the id's
-/// shape (32 hex chars, the only keys this fleet mints) and stores the
-/// entry idempotently — entries are immutable, so racing pushes
-/// converge byte-identically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReplicateRequest {
-    /// Content-addressed model id the sender stored this model under.
-    pub model_id: String,
-    /// The full application model.
-    pub model: AppProfile,
-}
-
-/// `POST /v1/replicate` response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReplicateResponse {
-    /// The model id echoed back.
-    pub model_id: String,
-    /// `true` when the push created a new local entry; `false` when the
-    /// entry already existed (replication is idempotent).
-    pub stored: bool,
-}
-
-/// `POST /v1/admin/drain` response: the decommission report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DrainResponse {
-    /// Always `"draining"` once the flag is set.
-    pub status: String,
-    /// Locally held models at drain time (memory + disk tiers).
-    pub keys: usize,
-    /// Models successfully pushed to a replica-set peer.
-    pub pushed: usize,
-    /// Models that could not be pushed anywhere (no reachable peer).
-    pub failed: usize,
 }
 
 /// Structured error body attached to every non-200 response.

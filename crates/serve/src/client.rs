@@ -17,25 +17,10 @@
 //! seeded (via [`gmap_trace::rng::mix64`]) so a given policy replays the
 //! same sleep schedule.
 
-use crate::health::{self, PeerHealth, ProbeHandle};
-use crate::shard::Ring;
-use gmap_core::cachekey;
 use gmap_trace::rng::mix64;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::Duration;
-
-/// Request header carrying the remaining deadline budget in
-/// milliseconds. Set by the router (and [`request_with_deadline`]),
-/// honored by replicas: a peer clamps its own per-request deadline to
-/// this value so it never keeps working on a request whose requester
-/// has already been answered 504 upstream.
-pub const DEADLINE_HEADER: &str = "X-Gmap-Deadline-Ms";
-
-/// Read-timeout grace beyond the propagated budget: long enough for a
-/// peer's honest in-budget 504 to arrive before the transport gives up.
-const BUDGET_GRACE: Duration = Duration::from_secs(2);
 
 /// A parsed HTTP response.
 #[derive(Debug, Clone)]
@@ -113,36 +98,13 @@ pub fn request(
     path: &str,
     body: Option<&str>,
 ) -> std::io::Result<Response> {
-    request_with_deadline(addr, method, path, body, None)
-}
-
-/// Performs one request carrying a deadline budget: the remaining
-/// budget is propagated in [`DEADLINE_HEADER`] and the read timeout is
-/// tightened to budget + a small grace (so a replica's honest in-budget
-/// 504 wins over the transport timeout). `None` behaves like
-/// [`request`].
-///
-/// # Errors
-///
-/// Transport failures and unparseable responses surface as `io::Error`.
-pub fn request_with_deadline(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    budget: Option<Duration>,
-) -> std::io::Result<Response> {
     let mut stream = TcpStream::connect(addr)?;
-    let read_timeout = budget.map_or(Duration::from_secs(120), |b| b + BUDGET_GRACE);
-    stream.set_read_timeout(Some(read_timeout))?;
+    stream.set_read_timeout(Some(Duration::from_secs(120)))?;
     stream.set_write_timeout(Some(Duration::from_secs(30)))?;
     let payload = body.unwrap_or("");
-    let deadline_line = budget.map_or(String::new(), |b| {
-        format!("{DEADLINE_HEADER}: {}\r\n", b.as_millis())
-    });
     let head = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\n{deadline_line}Connection: close\r\n\r\n",
+         Content-Length: {}\r\nConnection: close\r\n\r\n",
         payload.len()
     );
     let mut request = head.into_bytes();
@@ -157,7 +119,7 @@ pub fn request_with_deadline(
 /// Writes the whole buffer, looping on short writes instead of assuming
 /// one `write` call moves everything (a stalled or slow server must not
 /// silently truncate the request).
-pub(crate) fn write_all_looping<W: Write>(writer: &mut W, mut buf: &[u8]) -> std::io::Result<()> {
+fn write_all_looping<W: Write>(writer: &mut W, mut buf: &[u8]) -> std::io::Result<()> {
     while !buf.is_empty() {
         match writer.write(buf) {
             Ok(0) => {
@@ -215,158 +177,6 @@ pub fn request_with_retry(
         }
     }
     Err(last_err.unwrap_or_else(|| std::io::Error::other("retries exhausted")))
-}
-
-/// Peer-aware sharded client: computes each request's shard key (the
-/// model id it reads or creates), sends it to the owning replica on the
-/// consistent-hash [`Ring`], and **fails over to the ring successors on
-/// transport failures** — connection refused, reset mid-response, or a
-/// read timeout. Every replica serves every request correctly (the
-/// model cache is an accelerator over a content-addressed pipeline), so
-/// failover preserves byte-identical results and only costs cache
-/// locality on the substitute replica.
-///
-/// Transient *statuses* (408/429/500/503/504) stay on the same peer —
-/// the replica is alive and its `Retry-After` is the better signal;
-/// only a failed transport advances to the successor. Both paths share
-/// the policy's seeded backoff schedule, and non-idempotent requests
-/// get exactly one attempt, as in [`request_with_retry`].
-///
-/// Every exchange feeds a shared [`PeerHealth`] circuit breaker:
-/// ejected (or draining) peers are moved to the *end* of the walk, so
-/// repeated requests stop paying a dead replica's connect timeout —
-/// without ever making a key unservable (the ejected peers remain the
-/// last resort). [`PeerClient::spawn_prober`] adds active `/healthz`
-/// probing on top for long-lived clients.
-#[derive(Debug, Clone)]
-pub struct PeerClient {
-    ring: Ring,
-    policy: RetryPolicy,
-    health: Arc<PeerHealth>,
-}
-
-/// Probe interval assumed when a client builds its own health registry
-/// (drives the breaker cooldown; [`PeerClient::spawn_prober`] may use a
-/// different cadence).
-pub const DEFAULT_PROBE_INTERVAL: Duration = Duration::from_millis(500);
-
-impl PeerClient {
-    /// Builds a client over `peers` (replica `host:port` addresses)
-    /// with its own private health registry.
-    pub fn new(peers: &[String], policy: RetryPolicy) -> PeerClient {
-        let health = Arc::new(PeerHealth::new(peers, DEFAULT_PROBE_INTERVAL));
-        PeerClient::with_health(peers, policy, health)
-    }
-
-    /// Builds a client sharing an existing health registry (a server
-    /// embedding a client reuses its prober's view of the fleet).
-    pub fn with_health(
-        peers: &[String],
-        policy: RetryPolicy,
-        health: Arc<PeerHealth>,
-    ) -> PeerClient {
-        PeerClient {
-            ring: Ring::new(peers),
-            policy,
-            health,
-        }
-    }
-
-    /// The underlying consistent-hash ring.
-    pub fn ring(&self) -> &Ring {
-        &self.ring
-    }
-
-    /// The shared peer-health registry.
-    pub fn health(&self) -> &Arc<PeerHealth> {
-        &self.health
-    }
-
-    /// Spawns an active `/healthz` prober over this client's peers,
-    /// feeding its health registry. The returned handle stops the
-    /// prober when dropped.
-    pub fn spawn_prober(&self, interval: Duration) -> ProbeHandle {
-        health::spawn_prober(Arc::clone(&self.health), interval, None)
-    }
-
-    /// Performs a request against the owning replica, deriving the
-    /// shard key from the request itself (falling back to a hash of the
-    /// body for unroutable requests, so the choice stays deterministic).
-    ///
-    /// # Errors
-    ///
-    /// The last transport error once every peer and retry is exhausted,
-    /// or immediately when the ring is empty.
-    pub fn request(
-        &self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> std::io::Result<Response> {
-        let key = crate::shard::request_key(path, body.unwrap_or(""))
-            .unwrap_or_else(|| cachekey::content_key(body.unwrap_or(path)));
-        self.request_keyed(&key, method, path, body)
-    }
-
-    /// Performs a request routed by an explicit shard key.
-    ///
-    /// # Errors
-    ///
-    /// See [`PeerClient::request`].
-    pub fn request_keyed(
-        &self,
-        key: &str,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> std::io::Result<Response> {
-        let order = self.ring.successors(key);
-        if order.is_empty() {
-            return Err(std::io::Error::other("peer ring is empty"));
-        }
-        // Health-aware walk: usable peers in ring order, then ejected/
-        // draining ones as the last resort (skipping them outright
-        // could strand a key when the whole fleet looks down).
-        let (mut walk, skipped): (Vec<&str>, Vec<&str>) =
-            order.into_iter().partition(|p| self.health.usable(p));
-        walk.extend(skipped);
-        let attempts = if is_idempotent(method, path) {
-            self.policy.max_retries + 1
-        } else {
-            1
-        };
-        let mut sleep = self.policy.base;
-        let mut peer_idx = 0usize;
-        let mut last_err = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(sleep);
-            }
-            let peer = walk[peer_idx % walk.len()];
-            let outcome = request(peer, method, path, body);
-            match &outcome {
-                Ok(_) => self.health.record_success(peer),
-                Err(_) => self.health.record_failure(peer),
-            }
-            let hint = match outcome {
-                Ok(resp) if !RETRYABLE_STATUSES.contains(&resp.status) => return Ok(resp),
-                Ok(resp) if attempt + 1 == attempts => return Ok(resp),
-                Ok(resp) => resp.retry_after,
-                Err(e) => {
-                    // Transport failure: this replica is unreachable or
-                    // died mid-response — fail over to the successor.
-                    last_err = Some(e);
-                    peer_idx += 1;
-                    None
-                }
-            };
-            sleep = self.policy.next_sleep(sleep, attempt);
-            if let Some(secs) = hint {
-                sleep = sleep.max(Duration::from_secs(secs)).min(self.policy.cap);
-            }
-        }
-        Err(last_err.unwrap_or_else(|| std::io::Error::other("retries exhausted")))
-    }
 }
 
 /// Convenience `GET`.
@@ -430,7 +240,7 @@ pub fn post_chunked<R: Read>(
     parse_response(&raw)
 }
 
-pub(crate) fn parse_response(raw: &[u8]) -> std::io::Result<Response> {
+fn parse_response(raw: &[u8]) -> std::io::Result<Response> {
     let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
     let text = String::from_utf8_lossy(raw);
     let (head, body) = text

@@ -27,7 +27,6 @@
 //! | `slow`        | the handler sleeps `slow_ms` (default 25) before running|
 //! | `trunc_body`  | the connection read path truncates the request body     |
 //! | `reset`       | the connection resets mid-response (partial write + FIN)|
-//! | `replicate_err` | a queued replication push is dropped before sending   |
 //!
 //! Example: `GMAP_FAULTS=42:panic=0.1,disk_err=0.3,slow=0.5,slow_ms=40`.
 
@@ -50,21 +49,16 @@ pub enum FaultKind {
     TruncBody,
     /// Connection resets mid-response.
     Reset,
-    /// A queued replication push is dropped before it is sent — the
-    /// availability layer's retry/hint machinery is the behaviour under
-    /// test.
-    ReplicateErr,
 }
 
 /// All kinds, in spec/display order.
-pub const KINDS: [FaultKind; 7] = [
+pub const KINDS: [FaultKind; 6] = [
     FaultKind::DiskErr,
     FaultKind::ShortWrite,
     FaultKind::Panic,
     FaultKind::Slow,
     FaultKind::TruncBody,
     FaultKind::Reset,
-    FaultKind::ReplicateErr,
 ];
 
 impl FaultKind {
@@ -77,7 +71,6 @@ impl FaultKind {
             FaultKind::Slow => "slow",
             FaultKind::TruncBody => "trunc_body",
             FaultKind::Reset => "reset",
-            FaultKind::ReplicateErr => "replicate_err",
         }
     }
 
@@ -89,7 +82,6 @@ impl FaultKind {
             FaultKind::Slow => 3,
             FaultKind::TruncBody => 4,
             FaultKind::Reset => 5,
-            FaultKind::ReplicateErr => 6,
         }
     }
 
@@ -106,7 +98,7 @@ pub struct FaultSpec {
     /// Seed of the decision stream.
     pub seed: u64,
     /// Injection probability per kind, indexed by `FaultKind::index`.
-    pub rates: [f64; 7],
+    pub rates: [f64; 6],
     /// Sleep injected by the `slow` kind.
     pub slow: Duration,
 }
@@ -116,7 +108,7 @@ impl FaultSpec {
     pub fn quiet(seed: u64) -> Self {
         FaultSpec {
             seed,
-            rates: [0.0; 7],
+            rates: [0.0; 6],
             slow: Duration::from_millis(25),
         }
     }
@@ -186,8 +178,8 @@ impl FaultSpec {
 pub struct FaultInjector {
     spec: FaultSpec,
     armed: AtomicBool,
-    draws: [AtomicU64; 7],
-    injected: [AtomicU64; 7],
+    draws: [AtomicU64; 6],
+    injected: [AtomicU64; 6],
 }
 
 impl FaultInjector {
@@ -328,14 +320,12 @@ mod tests {
 
     #[test]
     fn spec_grammar_round_trips() {
-        let s = FaultSpec::parse("42:panic=0.25,disk_err=1,slow=0.5,slow_ms=40,replicate_err=0.75")
-            .expect("parses");
+        let s = FaultSpec::parse("42:panic=0.25,disk_err=1,slow=0.5,slow_ms=40").expect("parses");
         assert_eq!(s.seed, 42);
         assert_eq!(s.rates[FaultKind::Panic.index()], 0.25);
         assert_eq!(s.rates[FaultKind::DiskErr.index()], 1.0);
         assert_eq!(s.rates[FaultKind::Slow.index()], 0.5);
         assert_eq!(s.slow, Duration::from_millis(40));
-        assert_eq!(s.rates[FaultKind::ReplicateErr.index()], 0.75);
         assert_eq!(s.rates[FaultKind::Reset.index()], 0.0);
 
         assert!(FaultSpec::parse("no-seed").is_err());

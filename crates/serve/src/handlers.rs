@@ -9,7 +9,7 @@
 use crate::api::{
     self, AnalyzeRequest, AnalyzeResponse, ApiError, CloneRequest, CloneResponse, EvaluateRequest,
     EvaluateResponse, GridPoint, IngestResponse, KernelCloneStats, ProfileRequest, ProfileResponse,
-    ProfileStats, ReplicateRequest, ReplicateResponse,
+    ProfileStats,
 };
 use crate::cache::{ModelStore, StoredModel};
 use crate::metrics::Metrics;
@@ -288,45 +288,6 @@ pub fn ingest_finalize(
         stats: profile_stats(&stored.model),
         report: outcome.report,
         ingest: outcome.stats,
-    })
-}
-
-/// `POST /v1/replicate`: internal fleet endpoint storing a model pushed
-/// by a peer. Idempotent — an existing entry is acknowledged with
-/// `stored: false` and never rewritten (entries are immutable). The
-/// cache hit/miss counters are deliberately untouched: a replica copy
-/// is warm-standby state, not served traffic, and the chaos suite
-/// asserts `cache_misses` stays flat while replicas absorb a victim's
-/// keys.
-///
-/// # Errors
-///
-/// 400 for a malformed model id (keys are 32 lower-hex chars — anything
-/// else could not have been minted by this fleet), 504 on cancellation.
-pub fn replicate_store(
-    store: &ModelStore,
-    req: &ReplicateRequest,
-    cancel: &AtomicBool,
-) -> Result<ReplicateResponse, ApiError> {
-    let well_formed =
-        req.model_id.len() == 32 && req.model_id.bytes().all(|b| b.is_ascii_hexdigit());
-    if !well_formed {
-        return Err(ApiError::bad_request(format!(
-            "bad model id {:?} (expected 32 hex characters)",
-            req.model_id
-        )));
-    }
-    check_cancel(cancel)?;
-    if store.get(&req.model_id).is_some() {
-        return Ok(ReplicateResponse {
-            model_id: req.model_id.clone(),
-            stored: false,
-        });
-    }
-    store.insert(&req.model_id, req.model.clone());
-    Ok(ReplicateResponse {
-        model_id: req.model_id.clone(),
-        stored: true,
     })
 }
 

@@ -10,9 +10,8 @@
 //! | `POST /v1/clone`   | Generate (optionally miniaturized) proxy-stream stats  |
 //! | `POST /v1/evaluate`| Run a hierarchy-config grid via the sweep engine       |
 //! | `POST /v1/ingest`  | Stream a raw trace (chunked) into a profiled model     |
-//! | `POST /v1/replicate` | Internal: idempotent model push from a fleet peer    |
-//! | `POST /v1/admin/drain` | Graceful decommission: stream models to successors |
-//! | `GET /healthz`     | Liveness probe (advertises `draining` when set)        |
+//! | `POST /v1/analyze` | Static kernel-spec analysis, answered without the queue|
+//! | `GET /healthz`     | Liveness probe                                         |
 //! | `GET /metrics`     | Prometheus-style counters, gauges, latency quantiles   |
 //!
 //! Architecture (one module each):
@@ -32,21 +31,8 @@
 //! * [`server`] — accept loop, worker pool, deadlines, load shedding,
 //!   graceful shutdown.
 //! * [`client`] — the minimal client used by `gmap client` and tests,
-//!   with an idempotent-only retry wrapper (backoff + jitter) and a
-//!   peer-aware sharded client that fails over on transport errors.
+//!   with an idempotent-only retry wrapper (backoff + jitter).
 //! * [`faults`] — deterministic seeded fault injection for chaos tests.
-//! * [`shard`] — consistent-hash ring over the FNV-128 content-key
-//!   space (128 virtual nodes per replica, minimal remapping on
-//!   membership change).
-//! * [`router`] — the `--route` mode: forwards pipeline requests to the
-//!   owning replica on the connection thread, propagating the remaining
-//!   deadline budget and failing over to ring successors.
-//! * [`health`] — per-peer circuit breaker fed by passive request
-//!   outcomes and an active `/healthz` prober; shared by the router,
-//!   the sharded client, and the replication worker.
-//! * [`replicate`] — RF-way successor replication over
-//!   `POST /v1/replicate` with hinted handoff, read-repair, and the
-//!   drain path behind `POST /v1/admin/drain`.
 //!
 //! ```no_run
 //! let handle = gmap_serve::start(gmap_serve::ServeConfig::default())
@@ -69,13 +55,9 @@ pub mod cache;
 pub mod client;
 pub mod faults;
 pub mod handlers;
-pub mod health;
 pub mod http;
 pub mod jobs;
 pub mod metrics;
-pub mod replicate;
-pub mod router;
 pub mod server;
-pub mod shard;
 
 pub use server::{start, ServeConfig, ServerHandle, ServerState};

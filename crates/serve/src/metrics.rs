@@ -7,7 +7,6 @@
 //! Prometheus text exposition conventions so the endpoint is scrapable,
 //! but no client library is involved.
 
-use crate::health::PeerStatus;
 use gmap_trace::LatencyHistogram;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,54 +64,6 @@ impl EndpointStats {
     }
 }
 
-/// Per-peer router counters, present only in router mode (see
-/// [`Metrics::with_route`]).
-#[derive(Debug)]
-pub struct RouteMetrics {
-    /// Requests forwarded to each peer, in ring listing order.
-    forwards: Vec<(String, AtomicU64)>,
-    /// Forward attempts moved to a successor replica after a transport
-    /// failure (refused connection, reset, timeout).
-    pub failovers: AtomicU64,
-}
-
-impl RouteMetrics {
-    /// Creates zeroed counters for `peers`.
-    pub fn new(peers: &[String]) -> RouteMetrics {
-        RouteMetrics {
-            forwards: peers
-                .iter()
-                .map(|p| (p.clone(), AtomicU64::new(0)))
-                .collect(),
-            failovers: AtomicU64::new(0),
-        }
-    }
-
-    /// Counts one request forwarded to `peer` (a response was received,
-    /// whatever its status). Unknown peers are ignored.
-    pub fn record_forward(&self, peer: &str) {
-        if let Some((_, counter)) = self.forwards.iter().find(|(p, _)| p == peer) {
-            counter.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// The forward count for one peer (tests and assertions).
-    pub fn forwards_to(&self, peer: &str) -> u64 {
-        self.forwards
-            .iter()
-            .find(|(p, _)| p == peer)
-            .map_or(0, |(_, c)| c.load(Ordering::Relaxed))
-    }
-
-    /// Total forwards across all peers.
-    pub fn forwards_total(&self) -> u64 {
-        self.forwards
-            .iter()
-            .map(|(_, c)| c.load(Ordering::Relaxed))
-            .sum()
-    }
-}
-
 /// The service-wide metrics registry.
 #[derive(Debug, Default)]
 pub struct Metrics {
@@ -146,14 +97,12 @@ pub struct Metrics {
     pub ingest_bytes: AtomicU64,
     /// Trace streams fully received by `/v1/ingest`.
     pub ingest_streams: AtomicU64,
-    /// Per-peer router counters; `None` outside router mode.
-    pub route: Option<RouteMetrics>,
 }
 
 /// Point-in-time values that live outside the counter registry (queue
-/// state, cache occupancy, fault-injection totals, peer health) and are
-/// sampled by the caller at render time.
-#[derive(Debug, Default, Clone)]
+/// state, cache occupancy, fault-injection totals) and are sampled by
+/// the caller at render time.
+#[derive(Debug, Default, Clone, Copy)]
 pub struct RuntimeStats {
     /// Jobs waiting in the queue.
     pub queue_depth: usize,
@@ -173,43 +122,12 @@ pub struct RuntimeStats {
     pub worker_panics: u64,
     /// Faults injected by the fault-injection layer (0 when disabled).
     pub faults_injected: u64,
-    /// Peer circuit breakers opened (Closed/HalfOpen → Open edges).
-    pub peer_ejections: u64,
-    /// Peer circuit breakers closed again after ejection.
-    pub peer_recoveries: u64,
-    /// Models successfully pushed to a replica-set peer.
-    pub replication_sent: u64,
-    /// Replication pushes that failed transport or were refused.
-    pub replication_failed: u64,
-    /// Replication work dropped because the bounded queue was full (or
-    /// a `replicate_err` fault fired).
-    pub replication_dropped: u64,
-    /// Hints recorded for peers that were down at push time.
-    pub hints_queued: u64,
-    /// Hinted models successfully replayed to their recovered owner.
-    pub hints_replayed: u64,
-    /// Replica-held models pushed back toward their owner after an
-    /// owner-side miss was served locally (read-repair).
-    pub read_repairs: u64,
-    /// Whether this replica is draining (gauge `gmap_draining`).
-    pub draining: bool,
-    /// Per-peer breaker/drain view (`gmap_peer_up`,
-    /// `gmap_peer_draining` gauges); empty outside fleet mode.
-    pub peer_states: Vec<PeerStatus>,
 }
 
 impl Metrics {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Metrics::default()
-    }
-
-    /// Creates a registry with router counters for `peers`.
-    pub fn with_route(peers: &[String]) -> Self {
-        Metrics {
-            route: Some(RouteMetrics::new(peers)),
-            ..Metrics::default()
-        }
     }
 
     fn endpoint(&self, which: Endpoint) -> &EndpointStats {
@@ -334,31 +252,8 @@ impl Metrics {
             ("gmap_cache_quarantined_total", rt.cache_quarantined),
             ("gmap_worker_panics_total", rt.worker_panics),
             ("gmap_faults_injected_total", rt.faults_injected),
-            ("gmap_peer_ejections_total", rt.peer_ejections),
-            ("gmap_peer_recoveries_total", rt.peer_recoveries),
-            ("gmap_replication_total", rt.replication_sent),
-            ("gmap_replication_failed_total", rt.replication_failed),
-            ("gmap_replication_dropped_total", rt.replication_dropped),
-            ("gmap_hints_queued_total", rt.hints_queued),
-            ("gmap_hints_replayed_total", rt.hints_replayed),
-            ("gmap_read_repairs_total", rt.read_repairs),
         ] {
             let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");
-        }
-        if let Some(route) = &self.route {
-            out.push_str("# TYPE gmap_route_forwards_total counter\n");
-            for (peer, counter) in &route.forwards {
-                let _ = writeln!(
-                    out,
-                    "gmap_route_forwards_total{{peer=\"{peer}\"}} {}",
-                    counter.load(Ordering::Relaxed)
-                );
-            }
-            let _ = writeln!(
-                out,
-                "# TYPE gmap_route_failovers_total counter\ngmap_route_failovers_total {}",
-                route.failovers.load(Ordering::Relaxed)
-            );
         }
         for (name, value) in [
             ("gmap_queue_depth", rt.queue_depth),
@@ -366,29 +261,8 @@ impl Metrics {
             ("gmap_models_cached", rt.models_cached),
             ("gmap_cache_capacity", rt.cache_capacity),
             ("gmap_active_connections", rt.active_connections),
-            ("gmap_draining", usize::from(rt.draining)),
         ] {
             let _ = writeln!(out, "# TYPE {name} gauge\n{name} {value}");
-        }
-        if !rt.peer_states.is_empty() {
-            out.push_str("# TYPE gmap_peer_up gauge\n");
-            for p in &rt.peer_states {
-                let _ = writeln!(
-                    out,
-                    "gmap_peer_up{{peer=\"{}\"}} {}",
-                    p.peer,
-                    u8::from(p.up)
-                );
-            }
-            out.push_str("# TYPE gmap_peer_draining gauge\n");
-            for p in &rt.peer_states {
-                let _ = writeln!(
-                    out,
-                    "gmap_peer_draining{{peer=\"{}\"}} {}",
-                    p.peer,
-                    u8::from(p.draining)
-                );
-            }
         }
         out
     }
@@ -436,11 +310,6 @@ mod tests {
             cache_quarantined: 2,
             worker_panics: 1,
             faults_injected: 8,
-            peer_ejections: 11,
-            replication_sent: 12,
-            hints_replayed: 13,
-            read_repairs: 14,
-            ..RuntimeStats::default()
         });
         assert!(text.contains("gmap_requests_total{endpoint=\"profile\"} 2"));
         assert!(text.contains("gmap_request_errors_total{endpoint=\"profile\"} 1"));
@@ -462,49 +331,6 @@ mod tests {
         assert_eq!(scrape(&text, "gmap_models_cached"), Some(3.0));
         assert_eq!(scrape(&text, "gmap_cache_capacity"), Some(16.0));
         assert_eq!(scrape(&text, "gmap_active_connections"), Some(9.0));
-        assert_eq!(scrape(&text, "gmap_peer_ejections_total"), Some(11.0));
-        assert_eq!(scrape(&text, "gmap_replication_total"), Some(12.0));
-        assert_eq!(scrape(&text, "gmap_hints_replayed_total"), Some(13.0));
-        assert_eq!(scrape(&text, "gmap_read_repairs_total"), Some(14.0));
-        assert_eq!(scrape(&text, "gmap_draining"), Some(0.0));
-    }
-
-    #[test]
-    fn peer_gauges_render_when_a_fleet_is_tracked() {
-        let m = Metrics::new();
-        let rt = RuntimeStats {
-            draining: true,
-            peer_states: vec![
-                PeerStatus {
-                    peer: "127.0.0.1:9001".into(),
-                    up: true,
-                    draining: false,
-                },
-                PeerStatus {
-                    peer: "127.0.0.1:9002".into(),
-                    up: false,
-                    draining: true,
-                },
-            ],
-            ..RuntimeStats::default()
-        };
-        let text = m.render(rt);
-        assert_eq!(scrape(&text, "gmap_draining"), Some(1.0));
-        assert_eq!(
-            scrape(&text, "gmap_peer_up{peer=\"127.0.0.1:9001\"}"),
-            Some(1.0)
-        );
-        assert_eq!(
-            scrape(&text, "gmap_peer_up{peer=\"127.0.0.1:9002\"}"),
-            Some(0.0)
-        );
-        assert_eq!(
-            scrape(&text, "gmap_peer_draining{peer=\"127.0.0.1:9002\"}"),
-            Some(1.0)
-        );
-        // Outside fleet mode the per-peer families are absent.
-        let plain = Metrics::new().render(RuntimeStats::default());
-        assert!(!plain.contains("gmap_peer_up"));
     }
 
     #[test]
@@ -517,33 +343,6 @@ mod tests {
         assert!(
             text.contains("gmap_request_latency_seconds{endpoint=\"evaluate\",quantile=\"0.5\"}")
         );
-    }
-
-    #[test]
-    fn route_counters_render_per_peer() {
-        let peers = vec!["127.0.0.1:9001".to_string(), "127.0.0.1:9002".to_string()];
-        let m = Metrics::with_route(&peers);
-        let route = m.route.as_ref().expect("router registry");
-        route.record_forward("127.0.0.1:9001");
-        route.record_forward("127.0.0.1:9001");
-        route.record_forward("127.0.0.1:9002");
-        route.record_forward("10.9.9.9:1"); // unknown peer: ignored
-        route.failovers.fetch_add(1, Ordering::Relaxed);
-        assert_eq!(route.forwards_to("127.0.0.1:9001"), 2);
-        assert_eq!(route.forwards_total(), 3);
-        let text = m.render(RuntimeStats::default());
-        assert_eq!(
-            scrape(&text, "gmap_route_forwards_total{peer=\"127.0.0.1:9001\"}"),
-            Some(2.0)
-        );
-        assert_eq!(
-            scrape(&text, "gmap_route_forwards_total{peer=\"127.0.0.1:9002\"}"),
-            Some(1.0)
-        );
-        assert_eq!(scrape(&text, "gmap_route_failovers_total"), Some(1.0));
-        // Outside router mode the family is absent entirely.
-        let plain = Metrics::new().render(RuntimeStats::default());
-        assert!(!plain.contains("gmap_route_"));
     }
 
     #[test]

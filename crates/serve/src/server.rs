@@ -32,12 +32,9 @@ use crate::api::{self, ApiError};
 use crate::cache::{ModelStore, DEFAULT_MEM_CAPACITY};
 use crate::faults::{FaultInjector, FaultSpec, TruncatedReader};
 use crate::handlers;
-use crate::health::{self, PeerHealth, ProbeHandle};
 use crate::http::{self, ReadError, Request, RequestHead, ResponseOpts};
 use crate::jobs::{JobQueue, SubmitError};
 use crate::metrics::{Endpoint, Metrics, RuntimeStats};
-use crate::replicate::{self, ReplicationState, ReplicationWorker};
-use crate::router::Router;
 use gmap_core::cachekey::canonical_json;
 use gmap_gpu::hierarchy::LaunchConfig;
 use serde::{Deserialize, Serialize};
@@ -51,14 +48,6 @@ use std::time::{Duration, Instant};
 
 /// Seconds advertised in `Retry-After` on transient-error responses.
 const RETRY_AFTER_SECS: u64 = 1;
-
-/// Default replication factor in fleet mode: the owner plus one ring
-/// successor.
-pub const DEFAULT_REPLICATION_FACTOR: usize = 2;
-
-/// Default cadence of the active health prober (also the replication
-/// worker's hint-replay tick).
-pub const DEFAULT_PROBE_INTERVAL: Duration = Duration::from_millis(500);
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -85,23 +74,6 @@ pub struct ServeConfig {
     pub idle_timeout: Duration,
     /// Deterministic fault-injection spec (`None` in production).
     pub faults: Option<FaultSpec>,
-    /// Router mode: forward pipeline requests to these replica
-    /// addresses by consistent-hash shard instead of serving them
-    /// locally (`None` = normal replica).
-    pub route: Option<Vec<String>>,
-    /// Replica-fleet membership (including this server's own
-    /// [`ServeConfig::advertise`] address): enables successor
-    /// replication and hinted handoff (`None` = standalone replica).
-    pub fleet: Option<Vec<String>>,
-    /// The address this server is known by inside the fleet; defaults
-    /// to the bound listen address. Must be a member of `fleet`.
-    pub advertise: Option<String>,
-    /// Replica-set size per key in fleet mode (owner + RF−1 ring
-    /// successors).
-    pub replication_factor: usize,
-    /// Cadence of active `/healthz` probes toward peers (router or
-    /// fleet mode); also paces hint replay.
-    pub probe_interval: Duration,
 }
 
 impl Default for ServeConfig {
@@ -117,11 +89,6 @@ impl Default for ServeConfig {
             read_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(30),
             faults: None,
-            route: None,
-            fleet: None,
-            advertise: None,
-            replication_factor: DEFAULT_REPLICATION_FACTOR,
-            probe_interval: DEFAULT_PROBE_INTERVAL,
         }
     }
 }
@@ -130,9 +97,8 @@ impl Default for ServeConfig {
 pub struct ServerState {
     /// Bounded pipeline job queue.
     pub queue: JobQueue,
-    /// Content-addressed model cache (shared with the replication
-    /// worker in fleet mode).
-    pub store: Arc<ModelStore>,
+    /// Content-addressed model cache.
+    pub store: ModelStore,
     /// Metrics registry behind `/metrics`.
     pub metrics: Metrics,
     deadline: Duration,
@@ -140,10 +106,6 @@ pub struct ServerState {
     read_timeout: Duration,
     idle_timeout: Duration,
     faults: Option<Arc<FaultInjector>>,
-    router: Option<Router>,
-    health: Arc<PeerHealth>,
-    replication: Option<Arc<ReplicationState>>,
-    draining: AtomicBool,
     active_connections: AtomicUsize,
 }
 
@@ -153,30 +115,8 @@ impl ServerState {
         self.faults.as_ref()
     }
 
-    /// The router, when this server runs in `--route` mode.
-    pub fn router(&self) -> Option<&Router> {
-        self.router.as_ref()
-    }
-
-    /// The shared peer-health registry (empty outside router/fleet
-    /// mode).
-    pub fn health(&self) -> &Arc<PeerHealth> {
-        &self.health
-    }
-
-    /// The replication state, when this server runs in `--fleet` mode.
-    pub fn replication(&self) -> Option<&Arc<ReplicationState>> {
-        self.replication.as_ref()
-    }
-
-    /// Whether `/v1/admin/drain` has flipped this server to draining.
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-    }
-
     /// Samples the point-in-time values rendered alongside the counters.
     fn runtime_stats(&self) -> RuntimeStats {
-        let repl = self.replication.as_deref();
         RuntimeStats {
             queue_depth: self.queue.depth(),
             jobs_in_flight: self.queue.in_flight(),
@@ -187,16 +127,6 @@ impl ServerState {
             cache_quarantined: self.store.quarantined(),
             worker_panics: self.queue.panics(),
             faults_injected: self.faults.as_ref().map_or(0, |f| f.injected_total()),
-            peer_ejections: self.health.ejections(),
-            peer_recoveries: self.health.recoveries(),
-            replication_sent: repl.map_or(0, ReplicationState::sent),
-            replication_failed: repl.map_or(0, ReplicationState::failed),
-            replication_dropped: repl.map_or(0, ReplicationState::dropped),
-            hints_queued: repl.map_or(0, ReplicationState::hints_queued),
-            hints_replayed: repl.map_or(0, ReplicationState::hints_replayed),
-            read_repairs: repl.map_or(0, ReplicationState::read_repairs),
-            draining: self.is_draining(),
-            peer_states: self.health.snapshot(),
         }
     }
 }
@@ -209,8 +139,6 @@ pub struct ServerHandle {
     state: Arc<ServerState>,
     accept_thread: thread::JoinHandle<()>,
     worker_threads: Vec<thread::JoinHandle<()>>,
-    prober: Option<ProbeHandle>,
-    repl_worker: Option<ReplicationWorker>,
 }
 
 /// Binds the listener and starts the accept loop and worker pool.
@@ -228,91 +156,19 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         injector.set_armed(true);
         injector
     });
-    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
-    if config.route.is_some() && config.fleet.is_some() {
-        return Err(invalid(
-            "a server is either a router (--route) or a fleet replica (--fleet), not both".into(),
-        ));
-    }
-    let probe_interval = config.probe_interval.max(Duration::from_millis(50));
-    // The health registry tracks route peers in router mode and fleet
-    // members in replica mode; otherwise it is empty and every lookup
-    // degrades to "available".
-    let health_peers: &[String] = config
-        .route
-        .as_deref()
-        .or(config.fleet.as_deref())
-        .unwrap_or(&[]);
-    let health = Arc::new(PeerHealth::new(health_peers, probe_interval));
-    let router = match &config.route {
-        Some(peers) if peers.is_empty() => {
-            return Err(invalid(
-                "router mode needs at least one replica address".into(),
-            ))
-        }
-        Some(peers) => Some(Router::new(peers, Arc::clone(&health))),
-        None => None,
-    };
-    let metrics = match &config.route {
-        Some(peers) => Metrics::with_route(peers),
-        None => Metrics::new(),
-    };
-    let store = Arc::new(ModelStore::with_config(
-        config.cache_dir.clone(),
-        config.cache_capacity,
-        faults.clone(),
-    )?);
-    let advertise = config.advertise.clone().unwrap_or_else(|| addr.to_string());
-    let (replication, repl_worker) = match &config.fleet {
-        Some(fleet) if fleet.len() < 2 => {
-            return Err(invalid(
-                "fleet mode needs at least two replica addresses".into(),
-            ))
-        }
-        Some(fleet) if !fleet.contains(&advertise) => {
-            return Err(invalid(format!(
-                "advertised address {advertise} is not a member of the fleet"
-            )))
-        }
-        Some(fleet) => {
-            let (state, worker) = replicate::spawn(
-                fleet,
-                &advertise,
-                config.replication_factor,
-                Arc::clone(&store),
-                Arc::clone(&health),
-                faults.clone(),
-                probe_interval,
-            );
-            (Some(state), Some(worker))
-        }
-        None => (None, None),
-    };
-    // Active probing: a router probes its replicas, a fleet member
-    // probes every peer but itself.
-    let prober = if health.peers().is_empty() {
-        None
-    } else {
-        let skip_self = config.fleet.is_some().then(|| advertise.clone());
-        Some(health::spawn_prober(
-            Arc::clone(&health),
-            probe_interval,
-            skip_self,
-        ))
-    };
     let state = Arc::new(ServerState {
         queue: JobQueue::new(config.queue_capacity),
-        store,
-        metrics,
+        store: ModelStore::with_config(
+            config.cache_dir.clone(),
+            config.cache_capacity,
+            faults.clone(),
+        )?,
+        metrics: Metrics::new(),
         deadline: config.deadline,
         keepalive_max: config.keepalive_max.max(1),
         read_timeout: config.read_timeout,
         idle_timeout: config.idle_timeout,
         faults,
-        router,
-        health,
-        replication,
-        draining: AtomicBool::new(false),
         active_connections: AtomicUsize::new(0),
     });
     let worker_threads = (0..config.workers.max(1))
@@ -339,8 +195,6 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         state,
         accept_thread,
         worker_threads,
-        prober,
-        repl_worker,
     })
 }
 
@@ -363,15 +217,6 @@ impl ServerHandle {
         self.accept_thread.join().expect("accept thread exits");
         while self.state.active_connections.load(Ordering::SeqCst) > 0 {
             thread::sleep(Duration::from_millis(2));
-        }
-        // Background availability machinery stops only after the last
-        // connection finished, so late stores still enqueue; remaining
-        // queued replication work is best-effort by design.
-        if let Some(prober) = self.prober {
-            prober.stop();
-        }
-        if let Some(worker) = self.repl_worker {
-            worker.stop();
         }
         self.state.queue.shutdown();
         self.state.queue.wait_drained();
@@ -463,19 +308,14 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
         };
         served += 1;
         let started = Instant::now();
-        let deadline = request_deadline(state, &head);
 
         // Streaming ingest: the body is consumed piece by piece *inside*
         // the endpoint (it may be far larger than any materialized-body
-        // limit), so it bypasses the read-whole-body path below. In
-        // router mode the stream is re-framed to the owning replica
-        // instead of being profiled here.
+        // limit), so it bypasses the read-whole-body path below.
         if head.method == "POST" && head.route_path() == "/v1/ingest" {
-            let forwarded = match &state.router {
-                Some(router) => router.forward_ingest(&state.metrics, &head, &mut reader, deadline),
-                None => ingest_endpoint(&head, &mut reader, state, started, deadline),
-            };
-            let Some((status, body, consumed)) = forwarded else {
+            let Some((status, body, consumed)) =
+                ingest_endpoint(&head, &mut reader, state, started)
+            else {
                 return; // transport failed mid-body; nothing to answer
             };
             state
@@ -513,7 +353,7 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
             }
         };
         let endpoint = classify(&request);
-        let (status, body, content_type) = route(&request, state, started, deadline);
+        let (status, body, content_type) = route(&request, state, started);
         state
             .metrics
             .record_request(endpoint, started.elapsed(), status);
@@ -522,18 +362,6 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
             return;
         }
     }
-}
-
-/// The effective deadline of one request: the server's configured
-/// budget, tightened by a router-propagated [`client::DEADLINE_HEADER`]
-/// — a replica must never keep working on a request whose router has
-/// already answered 504 upstream. The header can only shrink the
-/// budget, never extend it.
-fn request_deadline(state: &ServerState, head: &RequestHead) -> Duration {
-    head.header(crate::client::DEADLINE_HEADER)
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(Duration::from_millis)
-        .map_or(state.deadline, |propagated| propagated.min(state.deadline))
 }
 
 fn classify(request: &Request) -> Endpoint {
@@ -560,7 +388,6 @@ fn ingest_endpoint<R: BufRead>(
     reader: &mut R,
     state: &Arc<ServerState>,
     started: Instant,
-    deadline: Duration,
 ) -> Option<(u16, String, bool)> {
     let err = |e: ApiError| Some((e.status, e.body(), false));
     let query = match api::parse_ingest_query(&head.path) {
@@ -585,7 +412,7 @@ fn ingest_endpoint<R: BufRead>(
         // The deadline covers the whole request, including a slow
         // uploader: a stream that cannot finish in time is cut off here
         // rather than occupying the connection thread indefinitely.
-        if started.elapsed() >= deadline {
+        if started.elapsed() >= state.deadline {
             state
                 .metrics
                 .deadline_timeouts
@@ -618,15 +445,8 @@ fn ingest_endpoint<R: BufRead>(
     state.metrics.ingest_streams.fetch_add(1, Ordering::Relaxed);
     // Whatever the upload consumed of the budget is gone; the finalize
     // job runs under the remainder.
-    let remaining = deadline.saturating_sub(started.elapsed());
-    let (status, response) = run_job(state, remaining, ing, |state, ing, cancel| {
-        let resp = handlers::ingest_finalize(&state.store, ing, cancel)?;
-        if let Some(repl) = state.replication() {
-            // Ingested models are stored unconditionally (the id hashes
-            // the model itself), so always fan out.
-            repl.enqueue(&resp.model_id);
-        }
-        Ok(resp)
+    let (status, response) = run_job(state, started, ing, |state, ing, cancel| {
+        handlers::ingest_finalize(&state.store, ing, cancel)
     });
     Some((status, response, true))
 }
@@ -667,54 +487,20 @@ fn write_reply(
 }
 
 /// Dispatches a parsed request to its endpoint and renders the response
-/// body. Returns `(status, body, content_type)`. `deadline` is this
-/// request's effective budget (possibly router-tightened), measured
-/// from `started`.
+/// body. Returns `(status, body, content_type)`. The request's deadline
+/// runs from `started`.
 fn route(
     request: &Request,
     state: &Arc<ServerState>,
     started: Instant,
-    deadline: Duration,
 ) -> (u16, String, &'static str) {
-    // Router mode: the pipeline endpoints are forwarded to the owning
-    // replica right here on the connection thread, with the remaining
-    // budget propagated. `/healthz`, `/metrics`, and `/v1/analyze`
-    // (stateless) are still answered locally.
-    if let Some(router) = &state.router {
-        if request.method == "POST"
-            && matches!(
-                request.path.as_str(),
-                "/v1/profile" | "/v1/clone" | "/v1/evaluate"
-            )
-        {
-            let body = match request.body_utf8() {
-                Ok(b) => b,
-                Err(msg) => {
-                    let e = ApiError::bad_request(msg);
-                    return (e.status, e.body(), "application/json");
-                }
-            };
-            let budget = deadline.saturating_sub(started.elapsed());
-            let (status, reply) = router.forward(&state.metrics, &request.path, body, budget);
-            return (status, reply, "application/json");
-        }
-    }
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => {
-            // A draining replica is still *alive* (200) but advertises
-            // the state so peers and routers deprioritize it.
-            let body = if state.is_draining() {
-                "{\"status\":\"draining\"}"
-            } else {
-                "{\"status\":\"ok\"}"
-            };
-            (200, body.to_string(), "application/json")
-        }
+        ("GET", "/healthz") => (200, "{\"status\":\"ok\"}".to_string(), "application/json"),
         ("GET", "/metrics") => {
             let text = state.metrics.render(state.runtime_stats());
             (200, text, "text/plain; version=0.0.4")
         }
-        ("POST", "/v1/profile") => profile_endpoint(request, state, started, deadline),
+        ("POST", "/v1/profile") => profile_endpoint(request, state, started),
         ("POST", "/v1/analyze") => {
             // Pure static analysis: answered right here on the connection
             // thread — no queue slot, no worker, no deadline machinery.
@@ -733,51 +519,12 @@ fn route(
                 Err(e) => (e.status, e.body(), "application/json"),
             }
         }
-        ("POST", "/v1/clone") => {
-            json_endpoint(request, state, started, deadline, |state, req, cancel| {
-                handlers::clone_model(&state.store, &req, cancel)
-            })
-        }
-        ("POST", "/v1/evaluate") => {
-            json_endpoint(request, state, started, deadline, |state, req, cancel| {
-                handlers::evaluate(&state.store, &req, cancel)
-            })
-        }
-        ("POST", "/v1/replicate") => {
-            // Internal fleet endpoint: idempotent model push from a
-            // peer. Runs through the worker pool like any store-touching
-            // job, so injected faults apply. A push that created a new
-            // entry is re-enqueued once, which converges the rest of
-            // the replica set (an already-present entry stops the walk).
-            json_endpoint(request, state, started, deadline, |state, req, cancel| {
-                let resp = handlers::replicate_store(&state.store, &req, cancel)?;
-                if resp.stored {
-                    if let Some(repl) = state.replication() {
-                        repl.enqueue(&resp.model_id);
-                    }
-                }
-                Ok(resp)
-            })
-        }
-        ("POST", "/v1/admin/drain") => {
-            // Graceful decommission, answered on the connection thread:
-            // flip to draining first (health probes now advertise it),
-            // then synchronously stream every owned model to reachable
-            // successors. Idempotent — a second call re-streams
-            // whatever is still held.
-            state.draining.store(true, Ordering::SeqCst);
-            let (keys, pushed, failed) = state
-                .replication
-                .as_ref()
-                .map_or((0, 0, 0), |repl| repl.drain_to_successors());
-            let resp = api::DrainResponse {
-                status: "draining".to_string(),
-                keys,
-                pushed,
-                failed,
-            };
-            (200, canonical_json(&resp), "application/json")
-        }
+        ("POST", "/v1/clone") => json_endpoint(request, state, started, |state, req, cancel| {
+            handlers::clone_model(&state.store, &req, cancel)
+        }),
+        ("POST", "/v1/evaluate") => json_endpoint(request, state, started, |state, req, cancel| {
+            handlers::evaluate(&state.store, &req, cancel)
+        }),
         ("GET", _) | ("POST", _) => {
             let e = ApiError::new(404, format!("no such route {}", request.path));
             (404, e.body(), "application/json")
@@ -803,7 +550,6 @@ fn profile_endpoint(
     request: &Request,
     state: &Arc<ServerState>,
     started: Instant,
-    deadline: Duration,
 ) -> (u16, String, &'static str) {
     let parsed: api::ProfileRequest = match parse_body(request) {
         Ok(r) => r,
@@ -828,21 +574,8 @@ fn profile_endpoint(
         }
         Err(e) => return (e.status, e.body(), "application/json"),
     }
-    let budget = deadline.saturating_sub(started.elapsed());
-    let (status, body) = run_job(state, budget, parsed, |state, req, cancel| {
-        let resp = handlers::profile(&state.store, &state.metrics, &req, cancel)?;
-        if let Some(repl) = state.replication() {
-            if !resp.cached {
-                // Fresh store: fan it out to the key's replica set.
-                repl.enqueue(&resp.model_id);
-            } else if !repl.is_owner(&resp.model_id) {
-                // A hit for a key this replica does not own means the
-                // owner was unreachable when the entry was created —
-                // push it back (read-repair, deduplicated per key).
-                repl.read_repair(&resp.model_id);
-            }
-        }
-        Ok(resp)
+    let (status, body) = run_job(state, started, parsed, |state, req, cancel| {
+        handlers::profile(&state.store, &state.metrics, &req, cancel)
     });
     (status, body, "application/json")
 }
@@ -853,7 +586,6 @@ fn json_endpoint<Req, Resp, F>(
     request: &Request,
     state: &Arc<ServerState>,
     started: Instant,
-    deadline: Duration,
     handler: F,
 ) -> (u16, String, &'static str)
 where
@@ -865,17 +597,16 @@ where
         Ok(r) => r,
         Err(e) => return (e.status, e.body(), "application/json"),
     };
-    let budget = deadline.saturating_sub(started.elapsed());
-    let (status, body) = run_job(state, budget, parsed, handler);
+    let (status, body) = run_job(state, started, parsed, handler);
     (status, body, "application/json")
 }
 
 /// Submits one handler invocation to the queue and waits for its result
-/// under `deadline` — the request's remaining budget, already clamped to
-/// any router-propagated `X-Gmap-Deadline-Ms`.
+/// under what is left of the configured deadline for a request whose
+/// head arrived at `started`.
 fn run_job<Req, Resp, F>(
     state: &Arc<ServerState>,
-    deadline: Duration,
+    started: Instant,
     parsed: Req,
     handler: F,
 ) -> (u16, String)
@@ -884,6 +615,7 @@ where
     Resp: Serialize,
     F: FnOnce(&ServerState, Req, &AtomicBool) -> Result<Resp, ApiError> + Send + 'static,
 {
+    let deadline = state.deadline.saturating_sub(started.elapsed());
     let (tx, rx) = mpsc::channel();
     let cancel = Arc::new(AtomicBool::new(false));
     let job_cancel = Arc::clone(&cancel);

@@ -16,19 +16,19 @@
 //! The fault seed is pinned via `GMAP_CHAOS_SEED` (CI does this) so a
 //! failing run can be replayed; without it a fixed default applies.
 
-use gmap_core::cachekey::{canonical_json, content_key};
+use gmap_core::cachekey::canonical_json;
 use gmap_serve::api::{EvaluateRequest, GridPoint, ProfileRequest, ProfileResponse};
 use gmap_serve::cache::ModelStore;
-use gmap_serve::client::{self, PeerClient, RetryPolicy};
-use gmap_serve::faults::{FaultInjector, FaultKind, FaultSpec};
+use gmap_serve::client::{self, RetryPolicy};
+use gmap_serve::faults::{FaultKind, FaultSpec};
 use gmap_serve::handlers;
 use gmap_serve::metrics::{scrape, Metrics};
-use gmap_serve::{ServeConfig, ServerHandle};
+use gmap_serve::ServeConfig;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const CHAOS_WORKLOADS: [&str; 3] = ["kmeans", "bfs", "hotspot"];
 
@@ -346,737 +346,4 @@ fn service_survives_every_fault_kind() {
             "{tag}: spec {spec:?} never injected a fault — the round was vacuous"
         );
     }
-}
-
-// ------------------------------------------------------------------
-// Sharded chaos: a router fronting a replica fleet. CI runs these with
-// `--test chaos sharded`, so every test name below contains "sharded".
-
-/// A router fronting `n` replicas. Each replica carries a *disarmed*
-/// `reset=1` fault injector: arming it "kills" the replica (every
-/// response is cut mid-write, so peers see pure transport failures) and
-/// disarming it "restarts" the replica — no port rebinding, so the
-/// kill/restart sequence is deterministic even under concurrent load.
-struct Fleet {
-    replicas: Vec<ServerHandle>,
-    injectors: Vec<Arc<FaultInjector>>,
-    peers: Vec<String>,
-    router: ServerHandle,
-}
-
-fn start_fleet(n: usize) -> Fleet {
-    let seed = chaos_seed();
-    let mut replicas = Vec::new();
-    let mut injectors = Vec::new();
-    let mut peers = Vec::new();
-    for i in 0..n {
-        let spec =
-            FaultSpec::parse(&format!("{}:reset=1", seed ^ i as u64)).expect("valid kill spec");
-        let handle = gmap_serve::start(ServeConfig {
-            workers: 2,
-            queue_capacity: 64,
-            deadline: Duration::from_secs(30),
-            faults: Some(spec),
-            ..ServeConfig::default()
-        })
-        .expect("bind replica");
-        let injector = Arc::clone(
-            handle
-                .state()
-                .fault_injector()
-                .expect("fault spec configured"),
-        );
-        injector.set_armed(false); // healthy until the test kills it
-        peers.push(handle.addr().to_string());
-        injectors.push(injector);
-        replicas.push(handle);
-    }
-    let router = gmap_serve::start(ServeConfig {
-        workers: 1,
-        deadline: Duration::from_secs(30),
-        route: Some(peers.clone()),
-        ..ServeConfig::default()
-    })
-    .expect("bind router");
-    Fleet {
-        replicas,
-        injectors,
-        peers,
-        router,
-    }
-}
-
-impl Fleet {
-    fn router_addr(&self) -> String {
-        self.router.addr().to_string()
-    }
-
-    fn kill(&self, i: usize) {
-        self.injectors[i].set_armed(true);
-    }
-
-    fn restart(&self, i: usize) {
-        self.injectors[i].set_armed(false);
-    }
-
-    fn shutdown(self) {
-        self.router.shutdown();
-        for replica in self.replicas {
-            replica.shutdown();
-        }
-    }
-}
-
-/// Scrapes one counter off the router's `/metrics` (0 when absent).
-fn route_metric(addr: &str, name: &str) -> f64 {
-    let m = client::get(addr, "/metrics").expect("router metrics reachable");
-    scrape(&m.body, name).unwrap_or(0.0)
-}
-
-fn note_latency(max_ms: &AtomicU64, begin: Instant) {
-    let ms = begin.elapsed().as_millis() as u64;
-    max_ms.fetch_max(ms, Ordering::Relaxed);
-}
-
-/// The headline sharding invariant: a storm of routed traffic survives a
-/// replica being killed and restarted mid-sweep with every 200 response
-/// byte-identical to a direct library call, every non-200 an honest
-/// transient status carrying `Retry-After`, per-request latency bounded,
-/// and the router's failover counter proving the kill was observed.
-#[test]
-fn sharded_fleet_survives_replica_kill_and_restart_mid_sweep() {
-    let expected = expectations();
-    let fleet = start_fleet(3);
-    let addr = fleet.router_addr();
-
-    // Pre-warm every replica with every model, replica-direct. Sharding
-    // here is cache *locality*, not data placement: any replica computes
-    // any request identically (content-addressed pipeline), which is
-    // exactly what makes failover byte-identical instead of wrong.
-    for peer in &fleet.peers {
-        for (w, want) in &expected {
-            let r = client::post_json(peer, "/v1/profile", &profile_req(w)).expect("prewarm");
-            assert_eq!(r.status, 200, "prewarm {w} on {peer}: {}", r.body);
-            verify_profile(&r.body, want, &format!("prewarm {w} on {peer}"));
-        }
-    }
-
-    // Victim: the replica owning the kmeans model, so the kill is
-    // guaranteed to sit on the routing path of live traffic.
-    let kmeans_id = &expected
-        .iter()
-        .find(|(w, _)| w == "kmeans")
-        .expect("kmeans expectation")
-        .1
-        .model_id;
-    let owner = fleet
-        .router
-        .state()
-        .router()
-        .expect("router mode")
-        .ring()
-        .owner(kmeans_id)
-        .expect("nonempty ring")
-        .to_string();
-    let victim = fleet
-        .peers
-        .iter()
-        .position(|p| *p == owner)
-        .expect("owner is a fleet peer");
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let successes = Arc::new(AtomicUsize::new(0));
-    let max_ms = Arc::new(AtomicU64::new(0));
-    let threads: Vec<_> = (0..4u64)
-        .map(|t| {
-            let addr = addr.clone();
-            let stop = Arc::clone(&stop);
-            let successes = Arc::clone(&successes);
-            let max_ms = Arc::clone(&max_ms);
-            let expected: Vec<(String, Expected)> = expected
-                .iter()
-                .map(|(w, e)| {
-                    (
-                        w.clone(),
-                        Expected {
-                            model_id: e.model_id.clone(),
-                            profile_stats: e.profile_stats.clone(),
-                            evaluate_body: e.evaluate_body.clone(),
-                        },
-                    )
-                })
-                .collect();
-            thread::spawn(move || {
-                let policy = RetryPolicy {
-                    seed: retry_policy().seed ^ (100 + t),
-                    ..retry_policy()
-                };
-                let check = |r: &client::Response, ctx: &str| {
-                    assert!(
-                        TRANSIENT.contains(&r.status),
-                        "{ctx}: unexpected status {}: {}",
-                        r.status,
-                        r.body
-                    );
-                    if matches!(r.status, 429 | 500 | 503 | 504) {
-                        assert!(
-                            r.retry_after.is_some(),
-                            "{ctx}: honest {} must carry Retry-After",
-                            r.status
-                        );
-                    }
-                };
-                let mut round = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    for (w, want) in &expected {
-                        let ctx = format!("sharded thread {t} round {round} workload {w}");
-                        let begin = Instant::now();
-                        let profiled = client::request_with_retry(
-                            &addr,
-                            "POST",
-                            "/v1/profile",
-                            Some(&profile_req(w)),
-                            &policy,
-                        );
-                        note_latency(&max_ms, begin);
-                        match profiled {
-                            Ok(r) if r.status == 200 => {
-                                verify_profile(&r.body, want, &ctx);
-                                successes.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Ok(r) => check(&r, &ctx),
-                            Err(_) => {}
-                        }
-                        let begin = Instant::now();
-                        let evaluated = client::request_with_retry(
-                            &addr,
-                            "POST",
-                            "/v1/evaluate",
-                            Some(&eval_req(&want.model_id)),
-                            &policy,
-                        );
-                        note_latency(&max_ms, begin);
-                        match evaluated {
-                            Ok(r) if r.status == 200 => {
-                                assert_eq!(
-                                    r.body, want.evaluate_body,
-                                    "{ctx}: routed evaluate diverged from direct call"
-                                );
-                                successes.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Ok(r) => check(&r, &format!("{ctx} evaluate")),
-                            Err(_) => {}
-                        }
-                    }
-                    round += 1;
-                }
-            })
-        })
-        .collect();
-
-    // Conductor: let traffic flow, kill the owner mid-sweep, wait until
-    // the router provably failed over, then restart it.
-    thread::sleep(Duration::from_millis(150));
-    fleet.kill(victim);
-    let kill_started = Instant::now();
-    while route_metric(&addr, "gmap_route_failovers_total") < 1.0 {
-        assert!(
-            kill_started.elapsed() < Duration::from_secs(20),
-            "router never recorded a failover after the kill"
-        );
-        thread::sleep(Duration::from_millis(25));
-    }
-    fleet.restart(victim);
-    thread::sleep(Duration::from_millis(200));
-    stop.store(true, Ordering::Relaxed);
-    for t in threads {
-        t.join().expect("storm thread completes");
-    }
-    assert!(
-        successes.load(Ordering::Relaxed) > 0,
-        "the fleet must make progress through the kill window"
-    );
-    assert!(
-        max_ms.load(Ordering::Relaxed) < 15_000,
-        "tail latency must stay bounded (worst request {}ms)",
-        max_ms.load(Ordering::Relaxed)
-    );
-
-    // Clean pass with the victim restored: routed results byte-identical.
-    for (w, want) in &expected {
-        let r = client::post_json(&addr, "/v1/profile", &profile_req(w))
-            .expect("routed profile reachable");
-        assert_eq!(r.status, 200, "clean routed profile {w}: {}", r.body);
-        verify_profile(&r.body, want, &format!("clean routed {w}"));
-        let r = client::post_json(&addr, "/v1/evaluate", &eval_req(&want.model_id))
-            .expect("routed evaluate reachable");
-        assert_eq!(r.status, 200, "clean routed evaluate {w}: {}", r.body);
-        assert_eq!(
-            r.body, want.evaluate_body,
-            "clean routed evaluate {w} must be byte-identical to a direct call"
-        );
-    }
-
-    // The per-shard counters moved: at least one forward somewhere, at
-    // least one failover total, and every peer's labeled series exists.
-    let m = client::get(&addr, "/metrics").expect("router metrics reachable");
-    let mut forwards_total = 0.0;
-    for peer in &fleet.peers {
-        let series = format!("gmap_route_forwards_total{{peer=\"{peer}\"}}");
-        let n = scrape(&m.body, &series).unwrap_or_else(|| panic!("router must export {series}"));
-        forwards_total += n;
-    }
-    assert!(forwards_total >= 1.0, "router must have forwarded requests");
-    let failovers =
-        scrape(&m.body, "gmap_route_failovers_total").expect("failover counter exported");
-    assert!(failovers >= 1.0, "the kill must have forced a failover");
-    fleet.shutdown();
-}
-
-/// The peer-aware client walks past a replica that refuses connections:
-/// requests keyed to the dead peer land on its ring successor with
-/// byte-identical results.
-#[test]
-fn sharded_peer_client_fails_over_past_dead_replica() {
-    let expected = expectations();
-    let live: Vec<ServerHandle> = (0..2)
-        .map(|_| {
-            gmap_serve::start(ServeConfig {
-                workers: 2,
-                ..ServeConfig::default()
-            })
-            .expect("bind replica")
-        })
-        .collect();
-    // An ephemeral port that was bound and immediately released: connects
-    // to it are refused — a permanently dead fleet member.
-    let dead_addr = {
-        let throwaway = std::net::TcpListener::bind("127.0.0.1:0").expect("bind throwaway");
-        throwaway.local_addr().expect("throwaway addr").to_string()
-    };
-    let mut peers: Vec<String> = live.iter().map(|h| h.addr().to_string()).collect();
-    peers.push(dead_addr.clone());
-    let peer_client = PeerClient::new(&peers, retry_policy());
-
-    // A shard key provably owned by the dead peer, found by scanning
-    // synthetic keys — the walk from it must end on a live successor.
-    let key = (0..4096u32)
-        .map(|i| content_key(&format!("sharded-dead-owner-{i}")))
-        .find(|k| peer_client.ring().owner(k) == Some(dead_addr.as_str()))
-        .expect("some synthetic key lands on the dead peer");
-
-    for (w, want) in &expected {
-        let ctx = format!("peer-client dead-owner workload {w}");
-        let r = peer_client
-            .request_keyed(&key, "POST", "/v1/profile", Some(&profile_req(w)))
-            .expect("profile fails over to a live replica");
-        assert_eq!(r.status, 200, "{ctx}: {}", r.body);
-        verify_profile(&r.body, want, &ctx);
-        // Same key ⇒ same successor order ⇒ the replica that profiled
-        // also evaluates, so the model is present.
-        let r = peer_client
-            .request_keyed(
-                &key,
-                "POST",
-                "/v1/evaluate",
-                Some(&eval_req(&want.model_id)),
-            )
-            .expect("evaluate fails over to a live replica");
-        assert_eq!(r.status, 200, "{ctx}: evaluate: {}", r.body);
-        assert_eq!(
-            r.body, want.evaluate_body,
-            "{ctx}: failover evaluate must be byte-identical to a direct call"
-        );
-    }
-
-    // Derived-key routing works end to end too, whichever peer owns it.
-    let r = peer_client
-        .request("POST", "/v1/profile", Some(&profile_req("kmeans")))
-        .expect("derived-key profile reachable");
-    assert_eq!(r.status, 200, "derived-key profile: {}", r.body);
-    for handle in live {
-        handle.shutdown();
-    }
-}
-
-// ------------------------------------------------------------------
-// Replicated-fleet chaos: `--fleet` replicas with successor
-// replication, hinted handoff, and drain. CI runs these as a gated
-// step with `--test chaos replicated`, so every test name below
-// contains "replicated".
-
-/// Pre-allocates `n` distinct loopback addresses by binding ephemeral
-/// ports and immediately releasing them. Fleet members must know each
-/// other's addresses *before* any server starts, so the usual
-/// bind-then-read-the-port trick cannot work here.
-fn reserve_addrs(n: usize) -> Vec<String> {
-    (0..n)
-        .map(|_| {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").expect("reserve port");
-            l.local_addr().expect("reserved addr").to_string()
-        })
-        .collect()
-}
-
-/// A replica fleet with successor replication (RF=2) and fast health
-/// probes. Same disarmed `reset=1` kill switch as [`Fleet`].
-struct ReplFleet {
-    replicas: Vec<ServerHandle>,
-    injectors: Vec<Arc<FaultInjector>>,
-    peers: Vec<String>,
-}
-
-/// Starts `n` fleet replicas on pre-reserved addresses. Another process
-/// can steal a released port between reservation and bind, so the whole
-/// fleet is retried on bind failure.
-fn start_repl_fleet(n: usize) -> ReplFleet {
-    let seed = chaos_seed();
-    'attempt: for _ in 0..5 {
-        let peers = reserve_addrs(n);
-        let mut replicas = Vec::new();
-        let mut injectors = Vec::new();
-        for (i, addr) in peers.iter().enumerate() {
-            let spec = FaultSpec::parse(&format!("{}:reset=1", seed ^ (40 + i as u64)))
-                .expect("valid kill spec");
-            let started = gmap_serve::start(ServeConfig {
-                listen: addr.clone(),
-                workers: 2,
-                queue_capacity: 64,
-                deadline: Duration::from_secs(30),
-                faults: Some(spec),
-                fleet: Some(peers.clone()),
-                advertise: Some(addr.clone()),
-                replication_factor: 2,
-                probe_interval: Duration::from_millis(100),
-                ..ServeConfig::default()
-            });
-            match started {
-                Ok(handle) => {
-                    let injector = Arc::clone(
-                        handle
-                            .state()
-                            .fault_injector()
-                            .expect("fault spec configured"),
-                    );
-                    injector.set_armed(false);
-                    injectors.push(injector);
-                    replicas.push(handle);
-                }
-                Err(_) => {
-                    for handle in replicas {
-                        handle.shutdown();
-                    }
-                    continue 'attempt;
-                }
-            }
-        }
-        return ReplFleet {
-            replicas,
-            injectors,
-            peers,
-        };
-    }
-    panic!("could not bind a reserved replica fleet in 5 attempts");
-}
-
-impl ReplFleet {
-    fn kill(&self, i: usize) {
-        self.injectors[i].set_armed(true);
-    }
-
-    fn restart(&self, i: usize) {
-        self.injectors[i].set_armed(false);
-    }
-
-    fn shutdown(self) {
-        for replica in self.replicas {
-            replica.shutdown();
-        }
-    }
-}
-
-/// Polls `addr`'s metric `name` until `pred` holds (panics after 20s).
-fn wait_for_metric(addr: &str, name: &str, pred: impl Fn(f64) -> bool, what: &str) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        if pred(route_metric(addr, name)) {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "timed out waiting for {what} ({name} on {addr} is {})",
-            route_metric(addr, name)
-        );
-        thread::sleep(Duration::from_millis(25));
-    }
-}
-
-/// The replication acceptance headline: after the owner of a model is
-/// killed, its ring successor serves the key from its *replica copy* —
-/// byte-identical, with zero recompute (the successor's cache-miss
-/// counter does not move).
-#[test]
-fn replicated_fleet_serves_victim_keys_from_replica_without_recompute() {
-    let expected = expectations();
-    let fleet = start_repl_fleet(3);
-    let router = gmap_serve::start(ServeConfig {
-        workers: 1,
-        deadline: Duration::from_secs(30),
-        route: Some(fleet.peers.clone()),
-        probe_interval: Duration::from_millis(100),
-        ..ServeConfig::default()
-    })
-    .expect("bind router");
-    let addr = router.addr().to_string();
-
-    // One routed profile per workload: each lands on its owner, which
-    // asynchronously write-through-replicates to its ring successor.
-    for (w, want) in &expected {
-        let r = client::post_json(&addr, "/v1/profile", &profile_req(w)).expect("routed profile");
-        assert_eq!(r.status, 200, "routed profile {w}: {}", r.body);
-        verify_profile(&r.body, want, &format!("routed profile {w}"));
-    }
-
-    let ring = gmap_serve::shard::Ring::new(&fleet.peers);
-    let kmeans = &expected
-        .iter()
-        .find(|(w, _)| w == "kmeans")
-        .expect("kmeans expectation")
-        .1;
-    let set = ring.replica_set(&kmeans.model_id, 2);
-    let (owner, successor) = (set[0].to_string(), set[1].to_string());
-    let victim = fleet
-        .peers
-        .iter()
-        .position(|p| *p == owner)
-        .expect("owner is a fleet member");
-
-    // The successor can answer /v1/evaluate for the model only once the
-    // replica copy has arrived — poll until replication lands.
-    let eval_body = eval_req(&kmeans.model_id);
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let r =
-            client::post_json(&successor, "/v1/evaluate", &eval_body).expect("successor reachable");
-        if r.status == 200 {
-            assert_eq!(
-                r.body, kmeans.evaluate_body,
-                "replica copy must evaluate byte-identically"
-            );
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "replication to the successor never landed (last status {})",
-            r.status
-        );
-        thread::sleep(Duration::from_millis(25));
-    }
-    let sent_total: f64 = fleet
-        .peers
-        .iter()
-        .map(|p| route_metric(p, "gmap_replication_total"))
-        .sum();
-    assert!(
-        sent_total >= 1.0,
-        "replication pushes must be counted across the fleet"
-    );
-
-    // Kill the owner; the router's breaker must eject it (passive
-    // failures plus failed /healthz probes), and the successor must
-    // serve the victim's keys from its replica copy with zero
-    // recompute: its miss counter stays exactly where it was.
-    let misses_before = route_metric(&successor, "gmap_cache_misses_total");
-    fleet.kill(victim);
-    wait_for_metric(
-        &addr,
-        "gmap_peer_ejections_total",
-        |v| v >= 1.0,
-        "the router to eject the killed owner",
-    );
-    let policy = retry_policy();
-    let r = client::request_with_retry(
-        &addr,
-        "POST",
-        "/v1/profile",
-        Some(&profile_req("kmeans")),
-        &policy,
-    )
-    .expect("routed profile with the owner dead");
-    assert_eq!(r.status, 200, "owner-dead routed profile: {}", r.body);
-    verify_profile(&r.body, kmeans, "owner-dead routed profile");
-    let r = client::request_with_retry(&addr, "POST", "/v1/evaluate", Some(&eval_body), &policy)
-        .expect("routed evaluate with the owner dead");
-    assert_eq!(r.status, 200, "owner-dead routed evaluate: {}", r.body);
-    assert_eq!(
-        r.body, kmeans.evaluate_body,
-        "owner-dead routed evaluate must be byte-identical"
-    );
-    let misses_after = route_metric(&successor, "gmap_cache_misses_total");
-    assert!(
-        misses_after <= misses_before,
-        "the successor must serve the victim's keys from its replica copy, not recompute \
-         (misses {misses_before} -> {misses_after})"
-    );
-
-    // Restart the victim: the router's half-open probe must close the
-    // breaker again, and a clean routed pass stays byte-identical.
-    fleet.restart(victim);
-    wait_for_metric(
-        &addr,
-        "gmap_peer_recoveries_total",
-        |v| v >= 1.0,
-        "the router to re-admit the restarted owner",
-    );
-    for (w, want) in &expected {
-        let r = client::request_with_retry(
-            &addr,
-            "POST",
-            "/v1/profile",
-            Some(&profile_req(w)),
-            &policy,
-        )
-        .expect("clean routed profile");
-        assert_eq!(r.status, 200, "clean routed profile {w}: {}", r.body);
-        verify_profile(&r.body, want, &format!("clean routed {w}"));
-    }
-    router.shutdown();
-    fleet.shutdown();
-}
-
-/// Hinted handoff: models stored while a replica-set peer is ejected
-/// are owed to it as hints and replayed once health probes see the
-/// peer again — the restarted peer ends up holding the model.
-#[test]
-fn replicated_hinted_handoff_replays_after_victim_restart() {
-    let expected = expectations();
-    let fleet = start_repl_fleet(3);
-    let ring = gmap_serve::shard::Ring::new(&fleet.peers);
-    let kmeans = &expected
-        .iter()
-        .find(|(w, _)| w == "kmeans")
-        .expect("kmeans expectation")
-        .1;
-    let set = ring.replica_set(&kmeans.model_id, 2);
-    let (owner, successor) = (set[0].to_string(), set[1].to_string());
-    let victim = fleet
-        .peers
-        .iter()
-        .position(|p| *p == successor)
-        .expect("successor is a fleet member");
-
-    // Kill the successor and wait until the owner's breaker ejects it,
-    // so the upcoming store is *hinted* rather than pushed.
-    fleet.kill(victim);
-    wait_for_metric(
-        &owner,
-        "gmap_peer_ejections_total",
-        |v| v >= 1.0,
-        "the owner to eject the killed successor",
-    );
-
-    // Store the model on its owner: replication toward the ejected
-    // successor becomes a hint.
-    let r = client::post_json(&owner, "/v1/profile", &profile_req("kmeans"))
-        .expect("owner profile reachable");
-    assert_eq!(r.status, 200, "owner profile: {}", r.body);
-    verify_profile(&r.body, kmeans, "owner profile");
-    wait_for_metric(
-        &owner,
-        "gmap_hints_queued_total",
-        |v| v >= 1.0,
-        "the owner to record a hint for the dead successor",
-    );
-
-    // Restart the victim: probes re-admit it, the hint replays, and the
-    // model materializes on the successor without it ever recomputing.
-    fleet.restart(victim);
-    wait_for_metric(
-        &owner,
-        "gmap_hints_replayed_total",
-        |v| v >= 1.0,
-        "the owner to replay the hint after the restart",
-    );
-    wait_for_metric(
-        &owner,
-        "gmap_peer_recoveries_total",
-        |v| v >= 1.0,
-        "the owner to count the successor's recovery",
-    );
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let r = client::post_json(&successor, "/v1/evaluate", &eval_req(&kmeans.model_id))
-            .expect("successor reachable after restart");
-        if r.status == 200 {
-            assert_eq!(
-                r.body, kmeans.evaluate_body,
-                "the replayed model must evaluate byte-identically"
-            );
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "the replayed hint never materialized on the successor (last status {})",
-            r.status
-        );
-        thread::sleep(Duration::from_millis(25));
-    }
-    fleet.shutdown();
-}
-
-/// Graceful decommission: `/v1/admin/drain` flips the replica to
-/// draining (visible on `/healthz` and `/metrics`), streams every held
-/// model to ring successors, and loses nothing — every key remains
-/// servable elsewhere.
-#[test]
-fn replicated_drain_decommissions_without_losing_keys() {
-    let expected = expectations();
-    let fleet = start_repl_fleet(3);
-    let drained = fleet.peers[0].clone();
-
-    // Load every workload onto replica 0 directly: it now holds all
-    // three models regardless of ring ownership.
-    for (w, want) in &expected {
-        let r =
-            client::post_json(&drained, "/v1/profile", &profile_req(w)).expect("profile reachable");
-        assert_eq!(r.status, 200, "profile {w}: {}", r.body);
-        verify_profile(&r.body, want, &format!("drain-prep {w}"));
-    }
-
-    let r = client::post_json(&drained, "/v1/admin/drain", "").expect("drain reachable");
-    assert_eq!(r.status, 200, "drain: {}", r.body);
-    let resp: gmap_serve::api::DrainResponse =
-        serde_json::from_str(&r.body).expect("drain response parses");
-    assert_eq!(resp.status, "draining");
-    assert_eq!(
-        resp.keys,
-        expected.len(),
-        "drain must stream every held model"
-    );
-    assert_eq!(resp.failed, 0, "a healthy fleet loses no keys on drain");
-    assert_eq!(resp.pushed, expected.len());
-
-    // The drained state is advertised to probers and scrapes.
-    let h = client::get(&drained, "/healthz").expect("healthz reachable");
-    assert!(
-        h.body.contains("\"draining\""),
-        "healthz must advertise draining: {}",
-        h.body
-    );
-    assert_eq!(route_metric(&drained, "gmap_draining"), 1.0);
-
-    // Zero lost keys: every model replica 0 held is now servable on
-    // some *other* fleet member, byte-identically.
-    for (w, want) in &expected {
-        let served_elsewhere = fleet.peers[1..].iter().any(|peer| {
-            let r = client::post_json(peer, "/v1/evaluate", &eval_req(&want.model_id))
-                .expect("peer reachable");
-            r.status == 200 && r.body == want.evaluate_body
-        });
-        assert!(
-            served_elsewhere,
-            "model for {w} must survive the drain on a successor"
-        );
-    }
-    fleet.shutdown();
 }

@@ -1,8 +1,8 @@
 //! Batch-kernel selection for the vectorized hot paths.
 //!
 //! The sweep engine's inner passes — stack-distance recency scans,
-//! histogram binning, warp coalescing, DRAM address decomposition — each
-//! ship in two implementations: a straightforward *scalar* loop (the
+//! histogram binning, DRAM address decomposition — each ship in two
+//! implementations: a straightforward *scalar* loop (the
 //! reference every differential test replays against) and a *batched*
 //! fixed-width kernel (8/16-lane hand-unrolled, branch-free in the lane
 //! body, with a scalar tail) that the autovectorizer turns into SIMD on

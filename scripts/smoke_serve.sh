@@ -3,8 +3,7 @@
 # exercises a profile -> clone round trip through `gmap client`, pokes
 # the HTTP edge cases (keep-alive, truncated and oversized bodies) with
 # raw sockets, and checks that closing the server's stdin drains it
-# cleanly. A final section boots two replicas behind a `--route` router
-# and checks that routed responses match locally computed model ids.
+# cleanly.
 #
 # Usage: scripts/smoke_serve.sh [path-to-gmap-binary]
 set -euo pipefail
@@ -19,18 +18,12 @@ WORK="$(mktemp -d)"
 SERVER_OUT="$WORK/server.out"
 mkfifo "$WORK/stdin"
 cleanup() {
-    # Closing the fifo writers ends the servers; kill as a fallback only.
+    # Closing the fifo writer ends the server; kill as a fallback only.
     exec 9>&- 2>/dev/null || true
-    exec 5>&- 2>/dev/null || true
-    exec 6>&- 2>/dev/null || true
-    exec 7>&- 2>/dev/null || true
-    for pid in "${SERVER_PID:-}" "${R1_PID:-}" "${R2_PID:-}" "${ROUTER_PID:-}" \
-        "${RES1_PID:-}" "${RES2_PID:-}" "${F1_PID:-}" "${F2_PID:-}"; do
-        if [[ -n "$pid" ]] && kill -0 "$pid" 2>/dev/null; then
-            sleep 2
-            kill "$pid" 2>/dev/null || true
-        fi
-    done
+    if [[ -n "${SERVER_PID:-}" ]] && kill -0 "$SERVER_PID" 2>/dev/null; then
+        sleep 2
+        kill "$SERVER_PID" 2>/dev/null || true
+    fi
     rm -rf "$WORK"
 }
 trap cleanup EXIT
@@ -197,154 +190,3 @@ fi
 wait "$SERVER_PID"
 grep -q 'drained and stopped' "$SERVER_OUT"
 echo "smoke: graceful shutdown ok"
-
-# ------------------------------------------------------------------
-# Router mode: two replicas behind a consistent-hash router. A routed
-# profile must return exactly the model id `gmap profile` computes
-# locally from the same spec, routed evaluate must work end to end, and
-# the router's per-peer forward counters must move.
-
-start_server() { # start_server <name> <fd> <listen-addr> [extra serve args...]
-    local name="$1" fd="$2" listen="$3"; shift 3
-    mkfifo "$WORK/$name.stdin"
-    "$GMAP" serve --listen "$listen" --workers 2 "$@" \
-        <"$WORK/$name.stdin" >"$WORK/$name.out" &
-    START_PID=$!
-    eval "exec $fd>\"$WORK/$name.stdin\""
-    START_ADDR=""
-    for _ in $(seq 1 100); do
-        START_ADDR="$(sed -n 's/^gmap-serve listening on //p' "$WORK/$name.out" | head -n1)"
-        [[ -n "$START_ADDR" ]] && break
-        sleep 0.1
-    done
-    if [[ -z "$START_ADDR" ]]; then
-        echo "smoke: $name never reported its address" >&2
-        cat "$WORK/$name.out" >&2
-        exit 1
-    fi
-}
-
-start_server replica1 5 127.0.0.1:0
-R1_PID=$START_PID; R1_ADDR=$START_ADDR
-start_server replica2 6 127.0.0.1:0
-R2_PID=$START_PID; R2_ADDR=$START_ADDR
-start_server router 7 127.0.0.1:0 --route "$R1_ADDR,$R2_ADDR"
-ROUTER_PID=$START_PID; ROUTER_ADDR=$START_ADDR
-echo "smoke: router $ROUTER_ADDR fronting $R1_ADDR and $R2_ADDR"
-
-# The model id a routed profile returns must equal the locally computed
-# content key for the same workload+scale spec.
-WANT_ID="$("$GMAP" profile --workload kmeans --scale tiny -o "$WORK/local.json" \
-    | sed -n 's/^model id: //p')"
-[[ -n "$WANT_ID" ]] || { echo "smoke: gmap profile printed no model id" >&2; exit 1; }
-ROUTED="$("$GMAP" client profile --addr "$ROUTER_ADDR" --workload kmeans --scale tiny)"
-ROUTED_ID="$(printf '%s' "$ROUTED" | sed -n 's/.*"model_id":"\([0-9a-f]*\)".*/\1/p')"
-if [[ "$ROUTED_ID" != "$WANT_ID" ]]; then
-    echo "smoke: routed profile diverged from the locally computed model id" >&2
-    echo "  local model id : $WANT_ID" >&2
-    echo "  routed model id: $ROUTED_ID" >&2
-    exit 1
-fi
-expect '"values":' "$GMAP" client evaluate --addr "$ROUTER_ADDR" \
-    --model "$ROUTED_ID" --grid 16:4,32:4
-METRICS="$("$GMAP" client metrics --addr "$ROUTER_ADDR")"
-grep -q 'gmap_route_forwards_total{peer="' <<<"$METRICS"
-FORWARDS="$(sed -n 's/^gmap_route_forwards_total{[^}]*} //p' <<<"$METRICS" \
-    | awk '{s+=$1} END {print s+0}')"
-if [[ "$FORWARDS" -lt 2 ]]; then
-    echo "smoke: router forward counters did not move ($FORWARDS)" >&2
-    grep '^gmap_route' <<<"$METRICS" >&2 || true
-    exit 1
-fi
-echo "smoke: routed profile matches local model id ($ROUTED_ID), $FORWARDS forwards"
-
-# Close all three stdin fifos: replicas and router drain cleanly.
-exec 7>&- 6>&- 5>&-
-for pid in "$ROUTER_PID" "$R2_PID" "$R1_PID"; do
-    for _ in $(seq 1 100); do
-        kill -0 "$pid" 2>/dev/null || break
-        sleep 0.1
-    done
-    if kill -0 "$pid" 2>/dev/null; then
-        echo "smoke: sharded server (pid $pid) did not exit after stdin EOF" >&2
-        exit 1
-    fi
-done
-grep -q 'drained and stopped' "$WORK/router.out"
-echo "smoke: sharded fleet drained cleanly"
-
-# ------------------------------------------------------------------
-# Replicated fleet: two `--fleet` replicas with successor replication.
-# A model stored on one member must replicate to the other; after the
-# first member is killed outright (SIGKILL, no graceful drain), the
-# survivor must serve the victim's model from its replica copy — a
-# cache *hit*, proving zero recompute.
-
-# Reserve two ports by booting throwaway servers on ephemeral ports and
-# shutting them down again: fleet membership must be known before any
-# member starts. The reserve servers never accept a connection, so the
-# freed ports rebind immediately.
-start_server reserve1 5 127.0.0.1:0
-RES1_PID=$START_PID; FA1=$START_ADDR
-start_server reserve2 6 127.0.0.1:0
-RES2_PID=$START_PID; FA2=$START_ADDR
-exec 5>&- 6>&-
-for pid in "$RES1_PID" "$RES2_PID"; do
-    for _ in $(seq 1 100); do
-        kill -0 "$pid" 2>/dev/null || break
-        sleep 0.1
-    done
-done
-
-start_server fleet1 5 "$FA1" --fleet "$FA1,$FA2" --advertise "$FA1" --probe-interval-ms 100
-F1_PID=$START_PID
-start_server fleet2 6 "$FA2" --fleet "$FA1,$FA2" --advertise "$FA2" --probe-interval-ms 100
-F2_PID=$START_PID
-echo "smoke: replicated fleet up at $FA1 and $FA2"
-
-FLEET_PROFILE="$("$GMAP" client profile --addr "$FA1" --workload kmeans --scale tiny)"
-FLEET_MODEL="$(printf '%s' "$FLEET_PROFILE" | sed -n 's/.*"model_id":"\([0-9a-f]*\)".*/\1/p')"
-[[ -n "$FLEET_MODEL" ]] || { echo "smoke: fleet profile returned no model id" >&2; exit 1; }
-
-# Wait until the asynchronous push lands on the peer (it can answer
-# /v1/evaluate for the model only once it holds a copy).
-REPLICATED=""
-for _ in $(seq 1 100); do
-    if "$GMAP" client evaluate --addr "$FA2" --model "$FLEET_MODEL" --grid 16:4 \
-        >/dev/null 2>&1; then
-        REPLICATED=1
-        break
-    fi
-    sleep 0.1
-done
-[[ -n "$REPLICATED" ]] || { echo "smoke: replication to the peer never landed" >&2; exit 1; }
-expect '^gmap_replication_total [1-9]' "$GMAP" client metrics --addr "$FA1"
-echo "smoke: model replicated to the fleet peer"
-
-# Kill the member that stored the model — hard, no drain — and serve
-# its model from the survivor's replica copy: a cache hit, not a
-# recompute.
-kill -9 "$F1_PID" 2>/dev/null || true
-exec 5>&- 2>/dev/null || true
-expect '"cached":true' "$GMAP" client profile --addr "$FA2" --workload kmeans --scale tiny
-expect '"values":' "$GMAP" client evaluate --addr "$FA2" --model "$FLEET_MODEL" --grid 16:4,32:4
-echo "smoke: survivor served the killed owner's model from its replica copy"
-
-# Graceful decommission via the CLI: the drain endpoint answers even
-# with the only peer dead (nothing is silently lost — failures are
-# reported in the response).
-expect '"status":"draining"' "$GMAP" client drain --addr "$FA2"
-expect '"status":"draining"' "$GMAP" client health --addr "$FA2"
-echo "smoke: drain flipped the survivor to draining"
-
-exec 6>&-
-for _ in $(seq 1 100); do
-    kill -0 "$F2_PID" 2>/dev/null || break
-    sleep 0.1
-done
-if kill -0 "$F2_PID" 2>/dev/null; then
-    echo "smoke: fleet survivor did not exit after stdin EOF" >&2
-    exit 1
-fi
-grep -q 'drained and stopped' "$WORK/fleet2.out"
-echo "smoke: replicated fleet shut down cleanly"

@@ -83,9 +83,7 @@ USAGE:
   gmap simulate SOURCE [OPTS]                   run the memory hierarchy
   gmap fidelity (-p FILE | --workload NAME)     predict clone trustworthiness
   gmap serve [OPTS]                             run the model-cloning HTTP service
-                                                (or a router with --route)
   gmap client ACTION --addr HOST:PORT [OPTS]    talk to a running service
-                                                (or --peers P1,P2 for a fleet)
 
 PROFILE OPTIONS:
   --scale tiny|small|default    workload size (default: small)
@@ -150,30 +148,10 @@ SERVE OPTIONS:
   --faults SEED:SPEC            deterministic fault injection, e.g.
                                 7:disk_err=0.2,panic=0.1,slow_ms=50
                                 (also read from GMAP_FAULTS; flag wins)
-  --route P1,P2,...             router mode: forward /v1/profile, /v1/clone,
-                                /v1/evaluate, and /v1/ingest to the replica
-                                owning each request's content key on a
-                                consistent-hash ring, propagating the
-                                remaining deadline budget and failing over
-                                to ring successors on transport errors
-                                (duplicate or self-referencing entries are
-                                rejected)
-  --fleet P1,P2,...             replica-fleet membership, enabling successor
-                                replication (RF-1 ring successors receive an
-                                async copy of every stored model), hinted
-                                handoff while a peer is down, and read-repair
-  --advertise HOST:PORT         this server's own address inside --fleet
-                                (default: the bound listen address)
-  --replication-factor N        replica-set size per key (default 2:
-                                the owner plus one successor)
-  --probe-interval-ms N         cadence of active peer /healthz probes and
-                                hint replay (default 500)
   The server runs until stdin reaches EOF, then drains and exits.
 
-CLIENT ACTIONS (all need --addr HOST:PORT, or --peers P1,P2,... to shard
-requests across a replica fleet by content key with failover; add
---retries N to retry transient failures with exponential backoff —
-idempotent requests only; ingest is --addr-only):
+CLIENT ACTIONS (all need --addr HOST:PORT; add --retries N to retry
+transient failures with exponential backoff — idempotent requests only):
   health                        GET /healthz
   metrics                       GET /metrics
   profile  (--workload NAME [--scale tiny|small|default] | --spec FILE)
@@ -188,8 +166,6 @@ idempotent requests only; ingest is --addr-only):
            [--seed N]
            [--stride-prefetch TABLE:DEGREE[:DISTANCE[:CONFIDENCE]]]  (l1 grids)
            [--stream-prefetch WINDOW:DEGREE[:STREAMS]]               (l2 grids)
-  drain    POST /v1/admin/drain (--addr only): flip the replica to
-           draining and stream its models to ring successors
 "
     .to_owned()
 }
@@ -341,7 +317,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     });
     println!("content key: {key}");
     // For bundled workloads, also print the spec-addressed model id the
-    // service computes for the same profile request, so routed responses
+    // service computes for the same profile request, so served responses
     // can be checked against a locally computed key.
     if let Some(w) = flag(args, &["--workload"]) {
         let scale = gmap::serve::api::scale_name(parse_scale(args));
@@ -719,53 +695,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--read-timeout-ms",
             "--idle-timeout-ms",
             "--faults",
-            "--route",
-            "--fleet",
-            "--advertise",
-            "--replication-factor",
-            "--probe-interval-ms",
         ],
         &[],
     )?;
     let mut config = gmap::serve::ServeConfig::default();
-    if let Some(peers) = flag(args, &["--route"]) {
-        let route = parse_peer_list(peers, "--route")?;
-        // A router forwarding to itself would loop until the deadline
-        // burns out; reject the misconfiguration up front.
-        if let Some(listen) = flag(args, &["--listen"]) {
-            if route.iter().any(|p| p == listen) {
-                return Err(format!(
-                    "--route must not include the router's own --listen address {listen}"
-                ));
-            }
-        }
-        config.route = Some(route);
-    }
-    if let Some(peers) = flag(args, &["--fleet"]) {
-        config.fleet = Some(parse_peer_list(peers, "--fleet")?);
-    }
-    if let Some(addr) = flag(args, &["--advertise"]) {
-        if let Some(fleet) = &config.fleet {
-            if !fleet.iter().any(|p| p == addr) {
-                return Err(format!(
-                    "--advertise {addr} is not a member of --fleet (replication targets \
-                     are chosen by ring position, so the fleet must know this address)"
-                ));
-            }
-        }
-        config.advertise = Some(addr.to_owned());
-    }
-    if let Some(n) = flag(args, &["--replication-factor"]) {
-        config.replication_factor = n
-            .parse()
-            .map_err(|e| format!("bad --replication-factor {n:?}: {e}"))?;
-    }
-    if let Some(n) = flag(args, &["--probe-interval-ms"]) {
-        let ms: u64 = n
-            .parse()
-            .map_err(|e| format!("bad --probe-interval-ms {n:?}: {e}"))?;
-        config.probe_interval = std::time::Duration::from_millis(ms);
-    }
     if let Some(listen) = flag(args, &["--listen"]) {
         config.listen = listen.to_owned();
     }
@@ -838,29 +771,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
 fn client_addr(args: &[String]) -> Result<&str, String> {
     flag(args, &["--addr"]).ok_or_else(|| "missing --addr HOST:PORT".into())
-}
-
-/// Parses a comma-separated replica list (`--route` / `--fleet` /
-/// `--peers`). A duplicate entry is a usage error: it would double the
-/// duplicated replica's vnode share on the ring and silently skew
-/// placement.
-fn parse_peer_list(spec: &str, flag_name: &str) -> Result<Vec<String>, String> {
-    let peers: Vec<String> = spec
-        .split(',')
-        .map(str::trim)
-        .filter(|p| !p.is_empty())
-        .map(str::to_owned)
-        .collect();
-    if peers.is_empty() {
-        return Err(format!("{flag_name} needs at least one HOST:PORT"));
-    }
-    let mut seen = std::collections::BTreeSet::new();
-    for peer in &peers {
-        if !seen.insert(peer.as_str()) {
-            return Err(format!("{flag_name} lists {peer:?} more than once"));
-        }
-    }
-    Ok(peers)
 }
 
 fn client_seed(args: &[String]) -> Result<Option<u64>, String> {
@@ -986,8 +896,7 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
     use gmap::serve::{api, client};
 
     let action = args.first().ok_or(
-        "client needs an action: health, metrics, profile, analyze, ingest, clone, evaluate, \
-         or drain",
+        "client needs an action: health, metrics, profile, analyze, ingest, clone, or evaluate",
     )?;
     let action = action.as_str();
     let rest = &args[1..];
@@ -996,31 +905,17 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
     }
     let (path, body): (&str, Option<String>) = match action {
         "health" => {
-            check_flags(rest, &["--addr", "--peers", "--retries"], &[])?;
+            check_flags(rest, &["--addr", "--retries"], &[])?;
             ("/healthz", None)
         }
         "metrics" => {
-            check_flags(rest, &["--addr", "--peers", "--retries"], &[])?;
-            ("/metrics", None)
-        }
-        "drain" => {
-            // Decommission targets one specific replica, so only --addr
-            // makes sense (sharding the request would drain an
-            // arbitrary fleet member).
             check_flags(rest, &["--addr", "--retries"], &[])?;
-            ("/v1/admin/drain", Some(String::new()))
+            ("/metrics", None)
         }
         "profile" => {
             check_flags(
                 rest,
-                &[
-                    "--addr",
-                    "--peers",
-                    "--workload",
-                    "--scale",
-                    "--spec",
-                    "--retries",
-                ],
+                &["--addr", "--workload", "--scale", "--spec", "--retries"],
                 &[],
             )?;
             let spec = flag(rest, &["--spec"]).map(load_spec).transpose()?;
@@ -1037,14 +932,7 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
         "analyze" => {
             check_flags(
                 rest,
-                &[
-                    "--addr",
-                    "--peers",
-                    "--workload",
-                    "--scale",
-                    "--spec",
-                    "--retries",
-                ],
+                &["--addr", "--workload", "--scale", "--spec", "--retries"],
                 &[],
             )?;
             let spec = flag(rest, &["--spec"]).map(load_spec).transpose()?;
@@ -1061,14 +949,7 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
         "clone" => {
             check_flags(
                 rest,
-                &[
-                    "--addr",
-                    "--peers",
-                    "--model",
-                    "--factor",
-                    "--seed",
-                    "--retries",
-                ],
+                &["--addr", "--model", "--factor", "--seed", "--retries"],
                 &[],
             )?;
             let factor = flag(rest, &["--factor"])
@@ -1088,7 +969,6 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
                 rest,
                 &[
                     "--addr",
-                    "--peers",
                     "--model",
                     "--grid",
                     "--level",
@@ -1138,17 +1018,8 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
         ..client::RetryPolicy::default()
     };
     let method = if body.is_some() { "POST" } else { "GET" };
-    // --peers routes through the consistent-hash ring with failover to
-    // ring successors; --addr talks to one server (or a router) directly.
-    let response = match flag(rest, &["--peers"]) {
-        Some(peers) => {
-            let peers = parse_peer_list(peers, "--peers")?;
-            client::PeerClient::new(&peers, policy).request(method, path, body.as_deref())
-        }
-        None => {
-            client::request_with_retry(client_addr(rest)?, method, path, body.as_deref(), &policy)
-        }
-    };
+    let response =
+        client::request_with_retry(client_addr(rest)?, method, path, body.as_deref(), &policy);
     let response = response.map_err(|e| format!("request failed: {e}"))?;
     println!("{}", response.body.trim_end());
     if response.is_ok() {
@@ -1226,82 +1097,11 @@ mod tests {
         .is_err());
         // A value flag at the end of the line is missing its value.
         assert!(cmd_clone(&s(&["-p", "x.json", "-o", "y", "--seed"])).is_err());
-    }
-
-    #[test]
-    fn peer_list_parsing() {
-        assert_eq!(
-            parse_peer_list("a:1, b:2 ,c:3", "--peers").expect("valid"),
-            vec!["a:1".to_string(), "b:2".to_string(), "c:3".to_string()]
-        );
-        assert!(parse_peer_list("", "--route").is_err());
-        assert!(parse_peer_list(",,", "--peers").is_err());
-        // An empty --route list must fail before any socket is bound.
-        assert!(cmd_serve(&s(&["--route", ","])).is_err());
-        // Duplicates would double a replica's vnode share: usage error.
-        let err = parse_peer_list("a:1,b:2,a:1", "--peers").expect_err("duplicate rejected");
-        assert!(err.contains("more than once"), "unexpected error: {err}");
-        assert!(parse_peer_list("a:1, a:1", "--route").is_err());
-    }
-
-    #[test]
-    fn serve_rejects_misconfigured_fleets_and_routes() {
-        // A router that routes to itself would forward in a loop.
-        assert!(cmd_serve(&s(&[
-            "--listen",
-            "127.0.0.1:9101",
-            "--route",
-            "127.0.0.1:9100,127.0.0.1:9101",
-        ]))
-        .is_err());
-        // Duplicate fleet members are rejected before binding.
-        assert!(cmd_serve(&s(&["--fleet", "a:1,a:1"])).is_err());
-        // An advertised address outside the fleet can never own a key.
-        assert!(cmd_serve(&s(&[
-            "--fleet",
-            "127.0.0.1:9100,127.0.0.1:9101",
-            "--advertise",
-            "127.0.0.1:9102",
-        ]))
-        .is_err());
-        assert!(cmd_serve(&s(&["--replication-factor", "two"])).is_err());
-        assert!(cmd_serve(&s(&["--probe-interval-ms", "fast"])).is_err());
-    }
-
-    #[test]
-    fn client_drain_is_addr_only() {
-        // Drain targets one replica; sharding it via --peers is a usage
-        // error, and the flag set is validated before any connection.
-        assert!(cmd_client(&s(&["drain", "--peers", "a:1,b:2"])).is_err());
-        assert!(cmd_client(&s(&["drain"])).is_err());
-    }
-
-    #[test]
-    fn client_peers_route_to_a_replica_fleet() {
-        let replicas: Vec<_> = (0..2)
-            .map(|_| gmap::serve::start(gmap::serve::ServeConfig::default()).expect("bind replica"))
-            .collect();
-        let peers = replicas
-            .iter()
-            .map(|h| h.addr().to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        assert!(cmd_client(&s(&["health", "--peers", peers.as_str()])).is_ok());
-        assert!(cmd_client(&s(&[
-            "profile",
-            "--peers",
-            peers.as_str(),
-            "--workload",
-            "kmeans",
-            "--scale",
-            "tiny",
-        ]))
-        .is_ok());
-        // Neither --peers nor --addr: a clear error, not a panic.
-        assert!(cmd_client(&s(&["health"])).is_err());
-        for handle in replicas {
-            handle.shutdown();
-        }
+        // The service is single-node: no fleet flags, no drain action.
+        assert!(cmd_serve(&s(&["--route", "127.0.0.1:1"])).is_err());
+        assert!(cmd_serve(&s(&["--fleet", "127.0.0.1:1,127.0.0.1:2"])).is_err());
+        assert!(cmd_client(&s(&["health", "--peers", "127.0.0.1:1"])).is_err());
+        assert!(cmd_client(&s(&["drain", "--addr", "127.0.0.1:1"])).is_err());
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Batch-vs-scalar differential tests for the vectorized hot kernels.
 //!
-//! Every dual-path kernel (SoA column kernels, histogram binning, warp
-//! coalescing, DRAM address decomposition, the stack-distance counting
-//! pass) keeps its scalar reference implementation live; these tests pin
-//! the batched path to it — exhaustively over every lane-tail length in
+//! Every dual-path kernel (SoA column kernels, histogram binning, DRAM
+//! address decomposition, the stack-distance counting pass) keeps its
+//! scalar reference implementation live; these tests pin the batched
+//! path to it — exhaustively over every lane-tail length in
 //! `0..2×LANES`, and with proptest-randomized content on top. Any
 //! disagreement is a kernel bug by definition: the batched paths are
 //! required to be bit-exact, not approximately equal.
 
 use gmap_bench::engine::CapturedAccess;
 use gmap_dram::mapping::{decompose, AddressMapping, DramGeometry, MappingPlan};
-use gmap_gpu::coalesce::{coalesce_addrs_into, coalesce_addrs_scalar};
 use gmap_memsim::cache::{CacheConfig, ReplacementPolicy};
 use gmap_memsim::stackdist::{
     evaluate_fifo_multi_with_mode, evaluate_lru_multi_with_mode,
@@ -18,7 +17,6 @@ use gmap_memsim::stackdist::{
     PrefetchSchedule, WriteMode,
 };
 use gmap_trace::batch::{KernelMode, LANES};
-use gmap_trace::record::ByteAddr;
 use gmap_trace::soa::AccessColumns;
 use gmap_trace::Histogram;
 use proptest::prelude::*;
@@ -113,43 +111,6 @@ fn histogram_add_slice_covers_every_tail_length() {
         scalar.add_slice(&values, KernelMode::Scalar);
         batched.add_slice(&values, KernelMode::Batched);
         assert_eq!(scalar, batched, "n={n}");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Warp coalescing.
-// ---------------------------------------------------------------------
-
-proptest! {
-    #[test]
-    fn coalesce_matches_scalar(
-        addrs in proptest::collection::vec(0u64..1 << 20, 0..3 * LANES),
-        line_shift in 5u32..8,
-    ) {
-        let addrs: Vec<ByteAddr> = addrs.into_iter().map(ByteAddr).collect();
-        let line = 1u64 << line_shift;
-        let mut scalar = Vec::new();
-        let mut batched = Vec::new();
-        coalesce_addrs_scalar(&addrs, line, &mut scalar);
-        coalesce_addrs_into(&addrs, line, KernelMode::Batched, &mut batched);
-        prop_assert_eq!(scalar, batched);
-    }
-}
-
-#[test]
-fn coalesce_covers_every_tail_length_sorted_and_not() {
-    for n in 0..2 * LANES {
-        // Ascending (takes the presorted fast path) and descending
-        // (forces the sort) inputs of every tail length.
-        let asc: Vec<ByteAddr> = (0..n as u64).map(|i| ByteAddr(i * 48)).collect();
-        let desc: Vec<ByteAddr> = asc.iter().rev().copied().collect();
-        for addrs in [asc, desc] {
-            let mut scalar = Vec::new();
-            let mut batched = Vec::new();
-            coalesce_addrs_scalar(&addrs, 128, &mut scalar);
-            coalesce_addrs_into(&addrs, 128, KernelMode::Batched, &mut batched);
-            assert_eq!(scalar, batched, "n={n}");
-        }
     }
 }
 

@@ -21,10 +21,7 @@ use std::path::Path;
 /// witness selection must be reproducible — findings gate admission and
 /// fail CI), `bench` with the sweep engine (figure data is diffed
 /// against golden files), and the top-level `src` because the CLI
-/// renders reports that scripts diff. The `serve` root also covers the
-/// consistent-hash shard ring (`shard.rs`): replica placement must be
-/// identical on every node, so the ring is a sorted point array scanned
-/// in order — no hash-map iteration to allowlist.
+/// renders reports that scripts diff.
 const LINTED_DIRS: &[&str] = &[
     "crates/memsim/src",
     "crates/gpu/src",
