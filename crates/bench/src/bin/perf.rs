@@ -15,7 +15,7 @@ use gmap_dram::mapping::{decompose, AddressMapping, DramGeometry, MappingPlan};
 use gmap_memsim::cache::{CacheConfig, ReplacementPolicy};
 use gmap_memsim::stackdist::{evaluate_lru_multi_with_mode, LineAccess, WriteMode};
 use gmap_trace::batch::KernelMode;
-use gmap_trace::{Histogram, LatencyHistogram, Rng};
+use gmap_trace::{Histogram, Rng};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -53,27 +53,6 @@ struct PerBenchmark {
     direct_secs: f64,
     single_pass_secs: f64,
     speedup: f64,
-}
-
-/// Distribution of one phase's per-benchmark wall times, summarized from
-/// the shared log-bucketed [`LatencyHistogram`].
-#[derive(Debug, Serialize)]
-struct PhaseLatency {
-    phase: String,
-    p50_secs: f64,
-    p95_secs: f64,
-    max_secs: f64,
-}
-
-impl PhaseLatency {
-    fn summarize(phase: &str, hist: &LatencyHistogram) -> Self {
-        PhaseLatency {
-            phase: phase.to_string(),
-            p50_secs: hist.p50().as_secs_f64(),
-            p95_secs: hist.p95().as_secs_f64(),
-            max_secs: hist.max().as_secs_f64(),
-        }
-    }
 }
 
 #[derive(Debug, Serialize)]
@@ -258,7 +237,6 @@ struct PerfReport {
     single_pass_secs: f64,
     speedup: f64,
     grids: Vec<GridReport>,
-    latency: Vec<PhaseLatency>,
     /// Capture-cache counters of the cross-figure reuse pass (all five
     /// grids evaluated back to back without clearing).
     capture_reuse: CaptureReuse,
@@ -382,8 +360,6 @@ fn main() {
 
     let mut grid_reports = Vec::new();
     let (mut direct_total, mut single_total) = (0.0f64, 0.0f64);
-    let mut direct_hist = LatencyHistogram::new();
-    let mut single_hist = LatencyHistogram::new();
     for (sweep_name, configs, metric) in grids() {
         let plan = engine::plan_single_pass(&configs, metric)
             .unwrap_or_else(|| panic!("{sweep_name} fell off the single-pass path"));
@@ -397,18 +373,14 @@ fn main() {
         for d in &data {
             let t = Instant::now();
             let direct_cmp = sweep_benchmark(d, &configs, metric);
-            let direct_elapsed = t.elapsed();
-            direct_hist.record(direct_elapsed);
-            let direct_secs = direct_elapsed.as_secs_f64();
+            let direct_secs = t.elapsed().as_secs_f64();
 
             // Clear between timed sections: a capture memoized by an
             // earlier grid would otherwise inflate this grid's speedup.
             engine::capture_cache_clear();
             let t = Instant::now();
             let single_cmp = engine::sweep_benchmark_single_pass(d, &plan, &configs);
-            let single_elapsed = t.elapsed();
-            single_hist.record(single_elapsed);
-            let single_pass_secs = single_elapsed.as_secs_f64();
+            let single_pass_secs = t.elapsed().as_secs_f64();
 
             // Sanity: both paths produce full aligned series.
             assert_eq!(direct_cmp.original.len(), single_cmp.original.len());
@@ -466,10 +438,6 @@ fn main() {
         single_pass_secs: single_total,
         speedup,
         grids: grid_reports,
-        latency: vec![
-            PhaseLatency::summarize("direct", &direct_hist),
-            PhaseLatency::summarize("single_pass", &single_hist),
-        ],
         capture_reuse: reuse,
         kernels,
     };
@@ -480,12 +448,6 @@ fn main() {
         "capture reuse across grids: {} hits / {} misses",
         report.capture_reuse.hits, report.capture_reuse.misses
     );
-    for p in &report.latency {
-        println!(
-            "{:<12} per-benchmark p50 {:.3}s  p95 {:.3}s  max {:.3}s",
-            p.phase, p.p50_secs, p.p95_secs, p.max_secs
-        );
-    }
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out_path, json + "\n").expect("report file is writable");
     println!("report written to {out_path}");

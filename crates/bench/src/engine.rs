@@ -44,6 +44,18 @@
 //!      tag/stamp state the miss rate depends on; [`Cache`] stays the
 //!      independent oracle the tests replay against.
 //!
+//!    The evaluation is split into independent units, run through
+//!    [`crate::share_idle`]: one per (plain group, core) and one per
+//!    (stride training class, core) for L1 sweeps; one per plain group and
+//!    one per stream-prefetch config for L2 sweeps. The per-core split,
+//!    the derived L2 stream and its per-line-size shift stay on the
+//!    calling thread. Inside a [`crate::parallel_map`] worker, slots that
+//!    sibling workers have given back take units over, so a long-pole
+//!    benchmark uses the cores the others have left; elsewhere the units
+//!    run serially. Results merge in unit order — integer counter sums
+//!    and independently computed values — so every series is
+//!    bit-identical whichever thread ran which unit.
+//!
 //! Anything the plan can't prove sweepable — replacement policies other
 //! than LRU/FIFO, prefetcher parameters outside the supported envelope,
 //! configs that vary more than one level — falls back to the direct
@@ -428,104 +440,154 @@ fn split_per_core(capture: &CapturedStream, shift: u32) -> Vec<Vec<LineAccess>> 
     per_core
 }
 
+/// One independent piece of an L1 sweep: one core's stream scored for
+/// either a single plain group or every group of one stride-prefetcher
+/// training class. Units share nothing mutable, so [`crate::share_idle`]
+/// may run them on any thread; their counters are summed afterwards.
+struct L1Unit<'a> {
+    stream: &'a [LineAccess],
+    /// The core's PCs, which train the stride prefetcher.
+    pcs: &'a [u64],
+    /// `(table_size, min_confidence)` of a prefetch training class;
+    /// `None` for a plain group.
+    training: Option<(u32, u32)>,
+    /// Indices into the plan's groups, in plan order.
+    groups: Vec<usize>,
+}
+
+impl L1Unit<'_> {
+    /// Per-group counters (aligned with `self.groups`) and whether any
+    /// pass hit the evaluator's exact replay fallback.
+    fn run(
+        &self,
+        plan: &SweepPlan,
+        geoms: &[Vec<CacheConfig>],
+        mode: WriteMode,
+    ) -> (Vec<Vec<GeomCounts>>, bool) {
+        let Some((table_size, min_confidence)) = self.training else {
+            let g = self.groups[0];
+            let r = match plan.groups[g].policy {
+                ReplacementPolicy::Fifo => evaluate_fifo_multi(&geoms[g], self.stream, mode),
+                _ => evaluate_lru_multi(&geoms[g], self.stream, mode),
+            }
+            .expect("plan guarantees a uniform line-size/policy group");
+            return (vec![r.counts], r.fell_back);
+        };
+        // Groups differing only in degree/distance share this one
+        // training replay and expand their own candidate schedules.
+        let trace = stride_trace(table_size, min_confidence, self.stream, self.pcs);
+        let mut sched = PrefetchSchedule::new();
+        let mut fell_back = false;
+        let counts = self
+            .groups
+            .iter()
+            .map(|&g| {
+                let pf = plan.groups[g].l1_prefetch.expect("prefetch class");
+                schedule_from_trace(pf, &trace, &mut sched);
+                let r = evaluate_lru_prefetch_multi(&geoms[g], self.stream, &sched, mode)
+                    .expect("plan guarantees a uniform line-size/policy group");
+                fell_back |= r.fell_back;
+                r.counts
+            })
+            .collect();
+        (counts, fell_back)
+    }
+}
+
 fn eval_l1(plan: &SweepPlan, capture: &CapturedStream, configs: &[SimtConfig]) -> EvalSeries {
     let mode = match plan.capture_cfg.hierarchy.l1_write_policy {
         L1WritePolicy::WriteThroughNoAllocate => WriteMode::NoAllocate,
         L1WritePolicy::WriteBackAllocate => WriteMode::Allocate,
     };
-    let mut values = vec![0.0; configs.len()];
-    let mut fell_back = false;
     // Hoisted across groups: prefetcher sweeps put many groups on one
     // line size (fig6c has 24), and the per-core split only depends on
     // it. PCs do not depend on the line size at all.
     let mut splits: HashMap<u32, Vec<Vec<LineAccess>>> = HashMap::new();
-    let mut pcs_split: Option<Vec<Vec<u64>>> = None;
-    let group_geoms = |group: &SweepGroup| -> Vec<CacheConfig> {
-        group
-            .config_indices
-            .iter()
-            .map(|&i| configs[i].hierarchy.l1)
-            .collect()
-    };
-
-    // Plain groups: one multi-geometry stack-distance pass per core.
-    for group in plan.groups.iter().filter(|g| g.l1_prefetch.is_none()) {
+    for group in &plan.groups {
         let shift = group.line_size.trailing_zeros();
-        let geoms = group_geoms(group);
-        let per_core = splits
+        splits
             .entry(shift)
             .or_insert_with(|| split_per_core(capture, shift));
-        let mut totals = vec![GeomCounts::default(); geoms.len()];
-        for stream in per_core.iter().filter(|s| !s.is_empty()) {
-            let r = match group.policy {
-                ReplacementPolicy::Fifo => evaluate_fifo_multi(&geoms, stream, mode),
-                _ => evaluate_lru_multi(&geoms, stream, mode),
-            }
-            .expect("plan guarantees a uniform line-size/policy group");
-            fell_back |= r.fell_back;
-            for (t, c) in totals.iter_mut().zip(&r.counts) {
-                t.merge(c);
-            }
-        }
-        for (k, &i) in group.config_indices.iter().enumerate() {
-            values[i] = totals[k].miss_rate() * 100.0;
+    }
+    let mut pcs: Vec<Vec<u64>> = vec![Vec::new(); capture.cores];
+    if plan.groups.iter().any(|g| g.l1_prefetch.is_some()) {
+        let cores = capture.accesses.cores();
+        for (&core, &pc) in cores.iter().zip(capture.accesses.pcs()) {
+            pcs[core as usize].push(pc);
         }
     }
+    let geoms: Vec<Vec<CacheConfig>> = plan
+        .groups
+        .iter()
+        .map(|g| {
+            g.config_indices
+                .iter()
+                .map(|&i| configs[i].hierarchy.l1)
+                .collect()
+        })
+        .collect();
 
-    // Prefetch groups: the stride prefetcher is per core, like the L1 it
-    // feeds, and its training trajectory depends only on the line size,
-    // table size, and confidence threshold. Groups differing only in
-    // degree/distance therefore share one training replay per core and
-    // expand their own candidate schedules from the recorded trace.
-    type TrainingClass = (u32, u32, u32);
-    let mut classes: Vec<(TrainingClass, Vec<&SweepGroup>)> = Vec::new();
-    for group in plan.groups.iter().filter(|g| g.l1_prefetch.is_some()) {
-        let pf = group.l1_prefetch.expect("filtered on l1_prefetch");
-        let key = (
-            group.line_size.trailing_zeros(),
-            pf.table_size,
-            pf.min_confidence,
-        );
-        match classes.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => v.push(group),
-            None => classes.push((key, vec![group])),
-        }
-    }
-    for ((shift, table_size, min_confidence), groups) in classes {
-        let per_core = splits
-            .entry(shift)
-            .or_insert_with(|| split_per_core(capture, shift));
-        let per_core_pcs = pcs_split.get_or_insert_with(|| {
-            let mut pcs: Vec<Vec<u64>> = vec![Vec::new(); capture.cores];
-            let cores = capture.accesses.cores();
-            for (&core, &pc) in cores.iter().zip(capture.accesses.pcs()) {
-                pcs[core as usize].push(pc);
+    // Private per-core L1s are evaluated core by core and the counters
+    // summed, exactly as the hierarchy merges per-core stats. A plain
+    // group is one multi-geometry pass per core. The stride prefetcher
+    // is per core too, and its training trajectory depends only on the
+    // line size, table size and confidence threshold, so groups sharing
+    // those form one training class per core.
+    let mut classes: Vec<((u32, u32, u32), Vec<usize>)> = Vec::new();
+    let mut units: Vec<L1Unit> = Vec::new();
+    for (g, group) in plan.groups.iter().enumerate() {
+        let shift = group.line_size.trailing_zeros();
+        match group.l1_prefetch {
+            None => {
+                for stream in splits[&shift].iter().filter(|s| !s.is_empty()) {
+                    units.push(L1Unit {
+                        stream,
+                        pcs: &[],
+                        training: None,
+                        groups: vec![g],
+                    });
+                }
             }
-            pcs
-        });
-        let geoms: Vec<Vec<CacheConfig>> = groups.iter().map(|g| group_geoms(g)).collect();
-        let mut totals: Vec<Vec<GeomCounts>> = geoms
-            .iter()
-            .map(|g| vec![GeomCounts::default(); g.len()])
-            .collect();
-        let mut sched = PrefetchSchedule::new();
-        for (core, stream) in per_core.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
-            let trace = stride_trace(table_size, min_confidence, stream, &per_core_pcs[core]);
-            for (gi, group) in groups.iter().enumerate() {
-                let pf = group.l1_prefetch.expect("prefetch class");
-                schedule_from_trace(pf, &trace, &mut sched);
-                let r = evaluate_lru_prefetch_multi(&geoms[gi], stream, &sched, mode)
-                    .expect("plan guarantees a uniform line-size/policy group");
-                fell_back |= r.fell_back;
-                for (t, c) in totals[gi].iter_mut().zip(&r.counts) {
-                    t.merge(c);
+            Some(pf) => {
+                let key = (shift, pf.table_size, pf.min_confidence);
+                match classes.iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, v)) => v.push(g),
+                    None => classes.push((key, vec![g])),
                 }
             }
         }
-        for (gi, group) in groups.iter().enumerate() {
-            for (k, &i) in group.config_indices.iter().enumerate() {
-                values[i] = totals[gi][k].miss_rate() * 100.0;
+    }
+    for ((shift, table_size, min_confidence), groups) in classes {
+        for (core, stream) in splits[&shift].iter().enumerate() {
+            if !stream.is_empty() {
+                units.push(L1Unit {
+                    stream,
+                    pcs: &pcs[core],
+                    training: Some((table_size, min_confidence)),
+                    groups: groups.clone(),
+                });
             }
+        }
+    }
+
+    let results = crate::share_idle(&units, |u| u.run(plan, &geoms, mode));
+    let mut totals: Vec<Vec<GeomCounts>> = geoms
+        .iter()
+        .map(|g| vec![GeomCounts::default(); g.len()])
+        .collect();
+    let mut fell_back = false;
+    for (unit, (counts, fb)) in units.iter().zip(results) {
+        fell_back |= fb;
+        for (&g, counts) in unit.groups.iter().zip(&counts) {
+            for (t, c) in totals[g].iter_mut().zip(counts) {
+                t.merge(c);
+            }
+        }
+    }
+    let mut values = vec![0.0; configs.len()];
+    for (group, totals) in plan.groups.iter().zip(&totals) {
+        for (&i, t) in group.config_indices.iter().zip(totals) {
+            values[i] = t.miss_rate() * 100.0;
         }
     }
     EvalSeries { values, fell_back }
@@ -710,55 +772,69 @@ fn eval_l2(plan: &SweepPlan, capture: &CapturedStream, configs: &[SimtConfig]) -
     // plan checked), so the stream feeding the L2 is derived once and
     // shared by every group, with or without an L2 prefetcher.
     let l2_stream = derive_l2_stream(capture, &plan.capture_cfg.hierarchy);
-    let mut values = vec![0.0; configs.len()];
-    let mut fell_back = false;
     // Hoisted across groups: prefetcher sweeps put many groups on one
     // line size (fig6d has 12 per line size).
     let mut shifted: HashMap<u32, Vec<LineAccess>> = HashMap::new();
     for group in &plan.groups {
         let shift = group.line_size.trailing_zeros();
-        let stream = shifted.entry(shift).or_insert_with(|| {
+        shifted.entry(shift).or_insert_with(|| {
             l2_stream
                 .iter()
                 .map(|&(addr, is_write)| LineAccess::new(addr >> shift, is_write))
                 .collect()
         });
-        if let Some(pf_cfg) = group.l2_prefetch {
-            // The stream prefetcher trains on geometry-dependent demand
-            // misses, so no shared candidate schedule exists; replay the
-            // derived stream per config (still one capture, no
-            // scheduler/L1/MSHR work per config).
-            for &i in &group.config_indices {
-                let bank_cfg = configs[i]
-                    .hierarchy
-                    .l2_bank_config()
-                    .expect("plan verified the bank split");
-                values[i] = replay_l2_prefetch(bank_cfg, pf_cfg, stream);
-            }
-            continue;
+    }
+    // Low-bit banking with bank bits inside the set-index bits makes the
+    // banked array behave exactly like one cache of the per-bank geometry
+    // (the plan verified the preconditions).
+    let bank_cfg = |i: usize| {
+        configs[i]
+            .hierarchy
+            .l2_bank_config()
+            .expect("plan verified the bank split")
+    };
+    // Units: a plain group is one multi-geometry pass; a stream-prefetch
+    // config is a replay of its own, because the stream prefetcher trains
+    // on geometry-dependent demand misses and no shared candidate
+    // schedule exists (still one capture, no scheduler/L1/MSHR work per
+    // config).
+    let mut units: Vec<(&SweepGroup, Option<usize>)> = Vec::new();
+    for group in &plan.groups {
+        if group.l2_prefetch.is_some() {
+            units.extend(group.config_indices.iter().map(|&i| (group, Some(i))));
+        } else {
+            units.push((group, None));
         }
-        // Low-bit banking with bank bits inside the set-index bits makes
-        // the banked array behave exactly like one cache of the per-bank
-        // geometry (the plan verified the preconditions).
-        let geoms: Vec<CacheConfig> = group
-            .config_indices
-            .iter()
-            .map(|&i| {
-                configs[i]
-                    .hierarchy
-                    .l2_bank_config()
-                    .expect("plan verified the bank split")
-            })
-            .collect();
+    }
+    let results = crate::share_idle(&units, |&(group, config)| {
+        let stream = &shifted[&group.line_size.trailing_zeros()];
+        if let (Some(pf_cfg), Some(i)) = (group.l2_prefetch, config) {
+            return (
+                vec![(i, replay_l2_prefetch(bank_cfg(i), pf_cfg, stream))],
+                false,
+            );
+        }
+        let geoms: Vec<CacheConfig> = group.config_indices.iter().map(|&i| bank_cfg(i)).collect();
         // The L2 is write-back write-allocate: stores allocate like loads.
         let r = match group.policy {
             ReplacementPolicy::Fifo => evaluate_fifo_multi(&geoms, stream, WriteMode::Allocate),
             _ => evaluate_lru_multi(&geoms, stream, WriteMode::Allocate),
         }
         .expect("plan guarantees a uniform line-size/policy group");
-        fell_back |= r.fell_back;
-        for (k, &i) in group.config_indices.iter().enumerate() {
-            values[i] = r.counts[k].miss_rate() * 100.0;
+        let values = group
+            .config_indices
+            .iter()
+            .zip(&r.counts)
+            .map(|(&i, c)| (i, c.miss_rate() * 100.0))
+            .collect();
+        (values, r.fell_back)
+    });
+    let mut values = vec![0.0; configs.len()];
+    let mut fell_back = false;
+    for (unit_values, fb) in results {
+        fell_back |= fb;
+        for (i, v) in unit_values {
+            values[i] = v;
         }
     }
     EvalSeries { values, fell_back }
@@ -1266,6 +1342,53 @@ mod tests {
                     (e - d).abs() < 1e-9,
                     "{name} config {i}: engine {e} vs direct {d}"
                 );
+            }
+        }
+    }
+
+    /// `eval_captured` inside a pool, with a helper in the slot the
+    /// sibling worker gives back, must reproduce the serial call's every
+    /// bit: units merge in order, and counts are integer sums.
+    #[test]
+    fn helper_path_is_bit_identical_to_serial_on_every_stock_grid() {
+        use crate::tests::{free_slots, wait_until};
+        let data = prepare("kmeans", Scale::Tiny, 42);
+        let grids = [
+            (sweeps::l1_sweep(), Metric::L1MissPct),
+            (sweeps::l2_sweep(), Metric::L2MissPct),
+            (sweeps::l1_prefetch_sweep(), Metric::L1MissPct),
+            (sweeps::l2_prefetch_sweep(), Metric::L2MissPct),
+            (sweeps::replacement_policy_sweep(), Metric::L1MissPct),
+        ];
+        for (g, (configs, metric)) in grids.iter().enumerate() {
+            let plan = plan_single_pass(configs, *metric).expect("stock grid plans");
+            for (s, (streams, launch)) in [
+                (&data.orig_streams, &data.kernel.launch),
+                (&data.proxy_streams, &data.profile.launch),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let cap = capture_stream(streams, launch, &plan.capture_cfg);
+                let serial = eval_captured(&plan, &cap, configs).values;
+                let helped = crate::parallel_map(&[true, false], 2, |&real| {
+                    real.then(|| {
+                        assert!(
+                            wait_until(|| free_slots() == Some(1)),
+                            "sibling worker never went idle"
+                        );
+                        eval_captured(&plan, &cap, configs).values
+                    })
+                });
+                let helped = helped[0].as_ref().expect("first item evaluates");
+                assert_eq!(helped.len(), serial.len());
+                for (i, (h, v)) in helped.iter().zip(&serial).enumerate() {
+                    assert_eq!(
+                        h.to_bits(),
+                        v.to_bits(),
+                        "grid {g} stream {s} config {i}: helped {h} vs serial {v}"
+                    );
+                }
             }
         }
     }

@@ -27,7 +27,9 @@ use gmap_core::{
 use gmap_gpu::kernel::KernelDesc;
 use gmap_gpu::schedule::WarpStream;
 use gmap_gpu::workloads::{self, Scale};
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 pub mod engine;
@@ -299,7 +301,8 @@ struct SweepJob {
 /// few benchmarks dominate. Pure-LRU no-prefetcher sweeps are detected
 /// by [`engine::plan_single_pass`] and evaluated in one stack-distance
 /// pass per (benchmark, line size) instead of one full simulation per
-/// config.
+/// config. Once the queue runs dry, the slots of idle workers take over
+/// units of the evaluations still running ([`share_idle`]).
 pub fn run_figure(
     title: &str,
     configs: &[SimtConfig],
@@ -460,8 +463,111 @@ pub fn print_header(title: &str, num_configs: usize, opts: &ExperimentOpts) {
     );
 }
 
+/// Slot accounting of one [`parallel_map`] call: the pool may run at
+/// most `threads` compute threads, and `free` counts the slots no worker
+/// or helper holds right now. A worker gives its slot back when it runs
+/// out of items; [`share_idle`] lends freed slots to helpers.
+struct Pool {
+    free: AtomicUsize,
+}
+
+impl Pool {
+    /// Claims a free slot, if any.
+    fn try_claim(self: &Arc<Self>) -> Option<Slot> {
+        self.free
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
+            .ok()
+            .map(|_| Slot(Arc::clone(self)))
+    }
+}
+
+/// One held slot of a [`Pool`]. Dropping it — also while a panic
+/// unwinds the thread holding it — gives the slot back.
+struct Slot(Arc<Pool>);
+
+impl Slot {
+    /// Marks the current thread as a compute thread of this slot's pool.
+    fn enter(&self) {
+        CURRENT_POOL.with(|p| *p.borrow_mut() = Some(Arc::clone(&self.0)));
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.free.fetch_add(1, Ordering::AcqRel);
+    }
+}
+
+thread_local! {
+    /// The pool the current thread computes for, if it is a
+    /// [`parallel_map`] worker or a [`share_idle`] helper.
+    static CURRENT_POOL: RefCell<Option<Arc<Pool>>> = const { RefCell::new(None) };
+}
+
+/// Items handed out one at a time through an atomic cursor. The cursor
+/// gives each index to exactly one thread, so every result lands in its
+/// own cell and there is no shared result funnel to contend on.
+struct WorkQueue<'a, T, R, F> {
+    items: &'a [T],
+    f: F,
+    /// Relaxed: the cursor publishes no data; results travel through the
+    /// cells' mutexes and the scope's join.
+    next: AtomicUsize,
+    cells: Vec<Mutex<Option<R>>>,
+}
+
+impl<'a, T, R, F: Fn(&T) -> R> WorkQueue<'a, T, R, F> {
+    fn new(items: &'a [T], f: F) -> Self {
+        WorkQueue {
+            items,
+            f,
+            next: AtomicUsize::new(0),
+            cells: (0..items.len()).map(|_| Mutex::new(None)).collect(),
+        }
+    }
+
+    /// Claims the next unclaimed index.
+    fn take(&self) -> Option<usize> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i < self.items.len()).then_some(i)
+    }
+
+    /// Whether any index is still unclaimed.
+    fn has_more(&self) -> bool {
+        self.next.load(Ordering::Relaxed) < self.items.len()
+    }
+
+    fn run(&self, i: usize) {
+        let r = (self.f)(&self.items[i]);
+        *self.cells[i].lock().expect("no poisoned workers") = Some(r);
+    }
+
+    /// Runs items until none is left.
+    fn drain(&self) {
+        while let Some(i) = self.take() {
+            self.run(i);
+        }
+    }
+
+    fn into_results(self) -> Vec<R> {
+        self.cells
+            .into_iter()
+            .map(|c| {
+                c.into_inner()
+                    .expect("no poisoned workers")
+                    .expect("every slot filled")
+            })
+            .collect()
+    }
+}
+
 /// Maps `f` over `items` using up to `threads` worker threads, preserving
 /// input order in the output.
+///
+/// The call is a pool of `threads` slots. A worker that runs out of items
+/// gives its slot back, and [`share_idle`] calls inside the remaining
+/// items lend it to a helper, so a long last item still uses every slot
+/// while never running more than `threads` compute threads.
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -469,33 +575,56 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let threads = threads.max(1);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    // One cell per output slot: the atomic counter hands each index to
-    // exactly one worker, so writes land in disjoint slots and there is
-    // no shared result funnel to contend on.
-    let cells: Vec<std::sync::Mutex<Option<R>>> = (0..items.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
+    let workers = threads.min(items.len());
+    let pool = Arc::new(Pool {
+        free: AtomicUsize::new(threads - workers),
+    });
+    let queue = WorkQueue::new(items, f);
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(items.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(&items[i]);
-                *cells[i].lock().expect("no poisoned workers") = Some(r);
+        for _ in 0..workers {
+            let slot = Slot(Arc::clone(&pool));
+            let queue = &queue;
+            scope.spawn(move || {
+                slot.enter();
+                queue.drain();
             });
         }
     });
-    cells
-        .into_iter()
-        .map(|c| {
-            c.into_inner()
-                .expect("no poisoned workers")
-                .expect("every slot filled")
-        })
-        .collect()
+    queue.into_results()
+}
+
+/// Maps `f` over `items` in order on the calling thread, lending any slot
+/// of the enclosing [`parallel_map`] that an idle worker has given back.
+///
+/// Between items the calling thread claims each freed slot of its pool
+/// and spawns one helper into it; helpers take items from the same queue
+/// and give their slot back when none is left (or when an item panics).
+/// Outside a pool this is a plain serial map. Results come back in input
+/// order whichever thread computed them.
+pub fn share_idle<T, R, F>(items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let Some(pool) = CURRENT_POOL.with(|p| p.borrow().clone()) else {
+        return items.iter().map(f).collect();
+    };
+    let queue = WorkQueue::new(items, f);
+    std::thread::scope(|scope| {
+        while let Some(i) = queue.take() {
+            while queue.has_more() {
+                let Some(slot) = pool.try_claim() else { break };
+                let queue = &queue;
+                scope.spawn(move || {
+                    slot.enter();
+                    queue.drain();
+                });
+            }
+            queue.run(i);
+        }
+    });
+    queue.into_results()
 }
 
 #[cfg(test)]
@@ -512,6 +641,133 @@ mod tests {
         }
         let empty: Vec<u64> = vec![];
         assert!(parallel_map(&empty, 4, |&x: &u64| x).is_empty());
+    }
+
+    /// Free slots of the current thread's pool; `None` outside a pool.
+    pub(crate) fn free_slots() -> Option<usize> {
+        CURRENT_POOL.with(|p| {
+            p.borrow()
+                .as_ref()
+                .map(|pool| pool.free.load(Ordering::Acquire))
+        })
+    }
+
+    /// Polls `cond` until it holds, for at most ten seconds; returns
+    /// whether it held.
+    pub(crate) fn wait_until(cond: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while !cond() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    /// Runs on one worker of a 2-slot pool whose sibling is going idle,
+    /// and proves that a helper runs a unit: every unit on the calling
+    /// thread blocks until the sibling's slot is free (so the next unit
+    /// boundary lends it) or a helper has run a unit. A helper's unit
+    /// panics after signalling when `panic_in_helper` is set.
+    fn engage_helper(panic_in_helper: bool) {
+        let me = std::thread::current().id();
+        let helper_ran = std::sync::atomic::AtomicBool::new(false);
+        share_idle(&[0, 1, 2], |_| {
+            if std::thread::current().id() == me {
+                assert!(
+                    wait_until(|| free_slots() == Some(1) || helper_ran.load(Ordering::Acquire)),
+                    "no helper engaged"
+                );
+            } else {
+                helper_ran.store(true, Ordering::Release);
+                assert!(!panic_in_helper, "unit panics on a helper");
+            }
+        });
+        assert!(helper_ran.load(Ordering::Acquire));
+    }
+
+    #[test]
+    fn share_idle_outside_a_pool_runs_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        assert_eq!(free_slots(), None);
+        let out = share_idle(&[1u64, 2, 3, 4], |&x| (x * 2, std::thread::current().id()));
+        assert_eq!(
+            out.iter().map(|r| r.0).collect::<Vec<_>>(),
+            vec![2, 4, 6, 8]
+        );
+        assert!(out.iter().all(|r| r.1 == me));
+    }
+
+    #[test]
+    fn single_thread_pool_never_spawns_a_helper() {
+        let items: Vec<u64> = (0..4).collect();
+        let units: Vec<u64> = (0..16).collect();
+        let alone = parallel_map(&items, 1, |_| {
+            let me = std::thread::current().id();
+            assert_eq!(free_slots(), Some(0));
+            share_idle(&units, |_| std::thread::current().id())
+                .iter()
+                .all(|&id| id == me)
+        });
+        assert!(alone.iter().all(|&a| a));
+    }
+
+    #[test]
+    fn helper_engages_once_a_sibling_worker_is_idle() {
+        parallel_map(&[true, false], 2, |&real| {
+            if real {
+                engage_helper(false);
+            }
+        });
+    }
+
+    #[test]
+    fn running_units_never_exceed_the_pool_threads() {
+        let running = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let unit = |_: &u64| {
+            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            // Long enough for preempted threads to overlap inside units.
+            let t = Instant::now();
+            while t.elapsed() < std::time::Duration::from_micros(200) {
+                std::hint::spin_loop();
+            }
+            running.fetch_sub(1, Ordering::SeqCst);
+        };
+        let units: Vec<u64> = (0..64).collect();
+        for threads in [2, 3] {
+            peak.store(0, Ordering::SeqCst);
+            let items: Vec<u64> = (0..8).collect();
+            parallel_map(&items, threads, |&i| {
+                // Even items fan out; odd items are one short unit, so
+                // their workers go idle while units remain.
+                if i % 2 == 0 {
+                    share_idle(&units, unit);
+                } else {
+                    unit(&i);
+                }
+            });
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(
+                (1..=threads).contains(&peak),
+                "{peak} units ran at once with {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn panicking_helper_unit_returns_its_slot() {
+        parallel_map(&[true, false], 2, |&real| {
+            if !real {
+                return;
+            }
+            let caught = std::panic::catch_unwind(|| engage_helper(true));
+            assert!(caught.is_err(), "the helper's panic reaches the caller");
+            assert_eq!(free_slots(), Some(1), "the panicking helper's slot is back");
+            engage_helper(false);
+        });
     }
 
     #[test]
