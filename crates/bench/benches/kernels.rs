@@ -1,9 +1,9 @@
 //! Criterion benchmarks of the three dual-path hot kernels, scalar vs
 //! batched: stack-distance counting, histogram binning, and DRAM address
-//! decomposition. The perf tracker (`perf --smoke`) runs
-//! the same comparisons headlessly and records the per-kernel speedups in
-//! BENCH_sweep.json; this harness is the interactive view of the same
-//! trade.
+//! decomposition, on inputs shaped like what the sweep engine, the
+//! profiler and the DRAM front end feed them. Run with
+//! `cargo bench -p gmap-bench --bench kernels`; perfbench measures the
+//! same kernels end to end inside the figure sweeps.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use gmap_dram::mapping::{AddressMapping, DramGeometry, MappingPlan};

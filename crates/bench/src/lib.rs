@@ -60,14 +60,19 @@ G-MAP experiment options:
 ";
 
     /// Parses the experiment flags from the command line; `--help`/`-h`
-    /// prints [`Self::HELP`] and exits.
+    /// prints [`Self::HELP`] and exits, and a usage error prints the error
+    /// and the help to stderr and exits 1.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         if args.iter().any(|a| a == "--help" || a == "-h") {
             print!("{}", Self::HELP);
             std::process::exit(0);
         }
-        Self::parse(&args)
+        Self::parse(&args).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}\n");
+            eprint!("{}", Self::HELP);
+            std::process::exit(1);
+        })
     }
 
     /// Parses an argument list (without the program name). Each flag
@@ -75,7 +80,11 @@ G-MAP experiment options:
     /// `--flag`, so `--csv --seed 7` leaves `csv` unset (with a warning)
     /// instead of silently recording `csv = "--seed"`. Unknown tokens are
     /// ignored.
-    pub fn parse(args: &[String]) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// An unknown `--scale` name (see [`Scale::from_name`]).
+    pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut opts = ExperimentOpts {
             scale: Scale::Default,
             seed: 42,
@@ -99,11 +108,7 @@ G-MAP experiment options:
             };
             match flag {
                 "--scale" => {
-                    opts.scale = match value.as_str() {
-                        "tiny" => Scale::Tiny,
-                        "small" => Scale::Small,
-                        _ => Scale::Default,
-                    }
+                    opts.scale = Scale::from_name(value)?;
                 }
                 "--seed" => {
                     if let Ok(s) = value.parse() {
@@ -120,7 +125,7 @@ G-MAP experiment options:
             }
             i += 2;
         }
-        opts
+        Ok(opts)
     }
 }
 
@@ -284,25 +289,15 @@ pub fn evaluate_profile(
     })
 }
 
-/// One unit of sweep work: a benchmark and a contiguous config range.
-struct SweepJob {
-    data: Arc<BenchData>,
-    bench: usize,
-    lo: usize,
-    hi: usize,
-}
-
 /// Runs a whole figure: all 18 benchmarks across the sweep.
 ///
 /// Preparation (execute → profile → clone) runs once per benchmark in
-/// parallel; the sweep itself is a flat work queue of (benchmark,
-/// config-chunk) jobs over shared [`Arc<BenchData>`], so thread
-/// utilization no longer collapses to one-thread-per-benchmark when a
-/// few benchmarks dominate. Pure-LRU no-prefetcher sweeps are detected
-/// by [`engine::plan_single_pass`] and evaluated in one stack-distance
-/// pass per (benchmark, line size) instead of one full simulation per
-/// config. Once the queue runs dry, the slots of idle workers take over
-/// units of the evaluations still running ([`share_idle`]).
+/// parallel, then each benchmark is one sweep item: the single-pass
+/// engine ([`engine::sweep_benchmark_single_pass`]) when
+/// [`engine::plan_single_pass`] accepts the grid, one full simulation per
+/// config ([`sweep_benchmark`]) otherwise. Once the benchmarks run out,
+/// the slots of idle workers take over units of the evaluations still
+/// running ([`share_idle`]).
 pub fn run_figure(
     title: &str,
     configs: &[SimtConfig],
@@ -313,95 +308,18 @@ pub fn run_figure(
 
     let t0 = Instant::now();
     let names: Vec<&str> = workloads::NAMES.to_vec();
-    let data: Vec<Arc<BenchData>> = parallel_map(&names, opts.threads, |name| {
-        Arc::new(prepare(name, opts.scale, opts.seed))
+    let data: Vec<BenchData> = parallel_map(&names, opts.threads, |name| {
+        prepare(name, opts.scale, opts.seed)
     });
     let prepare_secs = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
     let plan = engine::plan_single_pass(configs, metric);
-    let jobs: Vec<SweepJob> = match &plan {
-        // Single-pass: the whole series per benchmark is one cheap job.
-        Some(_) => data
-            .iter()
-            .enumerate()
-            .map(|(b, d)| SweepJob {
-                data: Arc::clone(d),
-                bench: b,
-                lo: 0,
-                hi: configs.len(),
-            })
-            .collect(),
-        // Direct: chunk the config grid so the queue stays deeper than
-        // the thread pool even with few benchmarks in flight.
-        None => {
-            let chunk = configs.len().div_ceil(4).max(1);
-            let mut jobs = Vec::new();
-            for (b, d) in data.iter().enumerate() {
-                let mut lo = 0;
-                while lo < configs.len() {
-                    let hi = (lo + chunk).min(configs.len());
-                    jobs.push(SweepJob {
-                        data: Arc::clone(d),
-                        bench: b,
-                        lo,
-                        hi,
-                    });
-                    lo = hi;
-                }
-            }
-            jobs
-        }
-    };
-    let results: Vec<Vec<(f64, f64)>> = parallel_map(&jobs, opts.threads, |job| match &plan {
-        Some(plan) => {
-            let orig = engine::capture_stream_cached(
-                &job.data.capture_source(false),
-                &job.data.orig_streams,
-                &job.data.kernel.launch,
-                &plan.capture_cfg,
-            );
-            let proxy = engine::capture_stream_cached(
-                &job.data.capture_source(true),
-                &job.data.proxy_streams,
-                &job.data.profile.launch,
-                &plan.capture_cfg,
-            );
-            let o = engine::eval_captured(plan, &orig, configs);
-            let p = engine::eval_captured(plan, &proxy, configs);
-            o.values.into_iter().zip(p.values).collect()
-        }
-        None => configs[job.lo..job.hi]
-            .iter()
-            .map(|cfg| {
-                let o = simulate_streams(&job.data.orig_streams, &job.data.kernel.launch, cfg)
-                    .expect("sweep configurations are valid");
-                let p = simulate_streams(&job.data.proxy_streams, &job.data.profile.launch, cfg)
-                    .expect("sweep configurations are valid");
-                (metric.extract(&o), metric.extract(&p))
-            })
-            .collect(),
-    });
-    // Stitch the chunks back into aligned per-benchmark series.
-    let mut orig = vec![vec![0.0f64; configs.len()]; names.len()];
-    let mut proxy = vec![vec![0.0f64; configs.len()]; names.len()];
-    for (job, values) in jobs.iter().zip(results) {
-        for (k, (o, p)) in values.into_iter().enumerate() {
-            orig[job.bench][job.lo + k] = o;
-            proxy[job.bench][job.lo + k] = p;
-        }
-    }
-    let comparisons: Vec<BenchmarkComparison> = names
-        .iter()
-        .enumerate()
-        .map(|(b, name)| {
-            compare_series(
-                name,
-                std::mem::take(&mut orig[b]),
-                std::mem::take(&mut proxy[b]),
-            )
-        })
-        .collect();
+    let comparisons: Vec<BenchmarkComparison> =
+        parallel_map(&data, opts.threads, |d| match &plan {
+            Some(plan) => engine::sweep_benchmark_single_pass(d, plan, configs),
+            None => sweep_benchmark(d, configs, metric),
+        });
     let sweep_secs = t1.elapsed().as_secs_f64();
 
     let t2 = Instant::now();
@@ -643,6 +561,14 @@ mod tests {
         assert!(parallel_map(&empty, 4, |&x: &u64| x).is_empty());
     }
 
+    /// Serializes the unit tests that use the process-wide capture cache,
+    /// so counter assertions never see another test's lookups. The lock
+    /// guards no data, so a panicked holder's poison is ignored.
+    pub(crate) fn capture_cache_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Free slots of the current thread's pool; `None` outside a pool.
     pub(crate) fn free_slots() -> Option<usize> {
         CURRENT_POOL.with(|p| {
@@ -776,7 +702,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let opts = ExperimentOpts::parse(&args);
+        let opts = ExperimentOpts::parse(&args).expect("valid flags");
         // `--csv` has no value (the next token is a flag): left unset.
         assert_eq!(opts.csv, None);
         assert_eq!(opts.seed, 7);
@@ -797,7 +723,7 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let opts = ExperimentOpts::parse(&args);
+        let opts = ExperimentOpts::parse(&args).expect("valid flags");
         assert_eq!(opts.scale, Scale::Tiny);
         assert_eq!(opts.seed, 9);
         assert_eq!(opts.threads, 3);
@@ -805,6 +731,19 @@ mod tests {
         for flag in ["--scale", "--seed", "--threads", "--csv"] {
             assert!(ExperimentOpts::HELP.contains(flag), "help must list {flag}");
         }
+    }
+
+    #[test]
+    fn arg_parsing_rejects_an_unknown_scale() {
+        let args: Vec<String> = ["--scale", "smal"].iter().map(|s| s.to_string()).collect();
+        let err = ExperimentOpts::parse(&args).expect_err("near-miss scale name");
+        assert!(err.contains("\"smal\""), "error names the bad value: {err}");
+        let absent = ExperimentOpts::parse(&[]).expect("no flags");
+        assert_eq!(
+            absent.scale,
+            Scale::Default,
+            "absent --scale keeps its default"
+        );
     }
 
     #[test]
@@ -848,6 +787,7 @@ mod tests {
 
     #[test]
     fn evaluate_profile_matches_direct_simulation() {
+        let _cache = capture_cache_lock();
         let data = prepare("kmeans", Scale::Tiny, 7);
         // A grid the single-pass planner accepts...
         let grid = sweeps::l1_sweep();

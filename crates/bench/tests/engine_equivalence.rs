@@ -1,8 +1,9 @@
-//! Property tests: the single-pass sweep engine is numerically equivalent
-//! to an independent per-config replay of the captured reference stream,
-//! on *randomized* grids — geometry, replacement policy, and prefetcher
-//! parameters all drawn at random, for L1 (stride prefetcher) and L2
-//! (stream prefetcher) sweeps.
+//! The single-pass sweep engine is numerically equivalent to an
+//! independent per-config replay of the captured reference stream: on
+//! every stock figure grid (fig6a–6d, the fig6e LRU/FIFO grid and a
+//! write-back L1 grid), and in property tests on *randomized* grids —
+//! geometry, replacement policy, and prefetcher parameters all drawn at
+//! random, for L1 (stride prefetcher) and L2 (stream prefetcher) sweeps.
 //!
 //! The oracles mirror `GpuHierarchy`'s demand paths structurally
 //! (separate `request` + `demand_fill`, probe-then-fill candidate
@@ -13,7 +14,7 @@
 //! percentage division.
 
 use gmap_bench::engine::{self, CapturedStream};
-use gmap_bench::prepare;
+use gmap_bench::{prepare, sweeps, Metric};
 use gmap_core::SimtConfig;
 use gmap_gpu::workloads::Scale;
 use gmap_memsim::cache::AccessRequest;
@@ -32,11 +33,8 @@ fn capture() -> &'static (Arc<CapturedStream>, SimtConfig) {
     static CAPTURE: OnceLock<(Arc<CapturedStream>, SimtConfig)> = OnceLock::new();
     CAPTURE.get_or_init(|| {
         let data = prepare("scalarprod", Scale::Tiny, 42);
-        let plan = engine::plan_single_pass(
-            &gmap_bench::sweeps::l1_sweep(),
-            gmap_bench::Metric::L1MissPct,
-        )
-        .expect("stock L1 grid plans");
+        let plan = engine::plan_single_pass(&sweeps::l1_sweep(), Metric::L1MissPct)
+            .expect("stock L1 grid plans");
         let cap =
             engine::capture_stream(&data.orig_streams, &data.kernel.launch, &plan.capture_cfg);
         (Arc::new(cap), plan.capture_cfg)
@@ -49,11 +47,8 @@ fn l2_capture() -> &'static (Arc<CapturedStream>, SimtConfig) {
     static CAPTURE: OnceLock<(Arc<CapturedStream>, SimtConfig)> = OnceLock::new();
     CAPTURE.get_or_init(|| {
         let data = prepare("bfs", Scale::Tiny, 42);
-        let plan = engine::plan_single_pass(
-            &gmap_bench::sweeps::l2_prefetch_sweep(),
-            gmap_bench::Metric::L2MissPct,
-        )
-        .expect("stock L2 prefetch grid plans");
+        let plan = engine::plan_single_pass(&sweeps::l2_prefetch_sweep(), Metric::L2MissPct)
+            .expect("stock L2 prefetch grid plans");
         let cap =
             engine::capture_stream(&data.orig_streams, &data.kernel.launch, &plan.capture_cfg);
         (Arc::new(cap), plan.capture_cfg)
@@ -189,6 +184,108 @@ fn direct_l2_series(capture: &CapturedStream, configs: &[SimtConfig]) -> Vec<f64
         .collect()
 }
 
+/// Captures each named benchmark's original stream (and its proxy stream
+/// when `with_proxy`) at the plan's reference config, tiny scale, seed 42,
+/// and asserts the engine agrees with `oracle` on every config to 1e-9.
+fn assert_engine_exact(
+    configs: &[SimtConfig],
+    metric: Metric,
+    benchmarks: &[&str],
+    with_proxy: bool,
+    oracle: fn(&CapturedStream, &[SimtConfig]) -> Vec<f64>,
+) {
+    let plan = engine::plan_single_pass(configs, metric).expect("stock grid plans");
+    for name in benchmarks {
+        let data = prepare(name, Scale::Tiny, 42);
+        let mut streams = vec![("original", &data.orig_streams, &data.kernel.launch)];
+        if with_proxy {
+            streams.push(("proxy", &data.proxy_streams, &data.profile.launch));
+        }
+        for (stream, warps, launch) in streams {
+            let cap = engine::capture_stream(warps, launch, &plan.capture_cfg);
+            let engine_vals = engine::eval_captured(&plan, &cap, configs).values;
+            let direct_vals = oracle(&cap, configs);
+            assert_eq!(engine_vals.len(), direct_vals.len());
+            for (i, (e, d)) in engine_vals.iter().zip(&direct_vals).enumerate() {
+                assert!(
+                    (e - d).abs() < 1e-9,
+                    "{name} {stream} config {i}: engine {e} vs direct {d}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn fig6a_engine_matches_direct_replay_within_1e9() {
+    assert_engine_exact(
+        &sweeps::l1_sweep(),
+        Metric::L1MissPct,
+        &["kmeans", "bfs"],
+        true,
+        direct_series,
+    );
+}
+
+#[test]
+fn fig6b_engine_matches_banked_replay_within_1e9() {
+    assert_engine_exact(
+        &sweeps::l2_sweep(),
+        Metric::L2MissPct,
+        &["backprop", "srad"],
+        false,
+        direct_l2_series,
+    );
+}
+
+#[test]
+fn fig6c_prefetch_engine_matches_direct_replay_within_1e9() {
+    assert_engine_exact(
+        &sweeps::l1_prefetch_sweep(),
+        Metric::L1MissPct,
+        &["kmeans", "scalarprod"],
+        false,
+        direct_series,
+    );
+}
+
+#[test]
+fn fig6d_stream_prefetch_engine_matches_banked_replay_within_1e9() {
+    assert_engine_exact(
+        &sweeps::l2_prefetch_sweep(),
+        Metric::L2MissPct,
+        &["backprop", "bfs"],
+        false,
+        direct_l2_series,
+    );
+}
+
+#[test]
+fn fifo_policy_engine_matches_direct_replay_within_1e9() {
+    assert_engine_exact(
+        &sweeps::replacement_policy_sweep(),
+        Metric::L1MissPct,
+        &["srad", "pathfinder"],
+        false,
+        direct_series,
+    );
+}
+
+#[test]
+fn write_back_l1_sweep_is_also_exact() {
+    let mut configs = sweeps::l1_sweep();
+    for c in &mut configs {
+        c.hierarchy.l1_write_policy = L1WritePolicy::WriteBackAllocate;
+    }
+    assert_engine_exact(
+        &configs,
+        Metric::L1MissPct,
+        &["pathfinder"],
+        false,
+        direct_series,
+    );
+}
+
 /// A random single-pass-eligible L1 config: LRU (optionally with a
 /// stride prefetcher) or FIFO (never with one — the planner rejects that
 /// combination).
@@ -267,7 +364,7 @@ proptest! {
         grid in proptest::collection::vec(l1_config(), 2..=5)
     ) {
         let (cap, capture_cfg) = capture();
-        let plan = engine::plan_single_pass(&grid, gmap_bench::Metric::L1MissPct)
+        let plan = engine::plan_single_pass(&grid, Metric::L1MissPct)
             .expect("strategy only emits single-pass-eligible grids");
         prop_assert!(
             plan.capture_cfg == *capture_cfg,
@@ -296,7 +393,7 @@ proptest! {
         grid in proptest::collection::vec(l2_prefetch_config(), 2..=5)
     ) {
         let (cap, capture_cfg) = l2_capture();
-        let plan = engine::plan_single_pass(&grid, gmap_bench::Metric::L2MissPct)
+        let plan = engine::plan_single_pass(&grid, Metric::L2MissPct)
             .expect("strategy only emits single-pass-eligible grids");
         prop_assert!(
             plan.capture_cfg == *capture_cfg,

@@ -39,6 +39,32 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// Parses a scale's canonical name (`tiny`, `small`, `default`).
+    ///
+    /// # Errors
+    ///
+    /// Anything else, near misses included, is an error message naming
+    /// the bad value and the valid ones.
+    pub fn from_name(name: &str) -> Result<Scale, String> {
+        match name {
+            "tiny" => Ok(Scale::Tiny),
+            "small" => Ok(Scale::Small),
+            "default" => Ok(Scale::Default),
+            _ => Err(format!(
+                "unknown scale {name:?} (expected tiny, small, or default)"
+            )),
+        }
+    }
+
+    /// The canonical name [`Scale::from_name`] parses.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Default => "default",
+        }
+    }
+
     /// Grid-size multiplier.
     pub fn grid(self, base: u32) -> u32 {
         base * match self {
@@ -743,6 +769,17 @@ mod tests {
     use gmap_trace::record::Pc;
     use gmap_trace::reuse::{ReuseClass, ReuseHistogram};
     use std::collections::HashMap;
+
+    #[test]
+    fn scale_names_round_trip_and_reject_near_misses() {
+        for scale in [Scale::Tiny, Scale::Small, Scale::Default] {
+            assert_eq!(Scale::from_name(scale.name()), Ok(scale));
+        }
+        for bad in ["smal", "Small", "TINY", "", "default "] {
+            let err = Scale::from_name(bad).expect_err("not a scale name");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
 
     #[test]
     fn all_18_build_and_validate_at_every_scale() {

@@ -336,24 +336,16 @@ impl ApiError {
 ///
 /// Returns a 400 [`ApiError`] for unknown scale names.
 pub fn parse_scale(scale: Option<&str>) -> Result<Scale, ApiError> {
-    match scale {
-        None | Some("default") => Ok(Scale::Default),
-        Some("tiny") => Ok(Scale::Tiny),
-        Some("small") => Ok(Scale::Small),
-        Some(other) => Err(ApiError::bad_request(format!(
-            "unknown scale {other:?} (expected tiny, small, or default)"
-        ))),
-    }
+    let Some(name) = scale else {
+        return Ok(Scale::Default);
+    };
+    Scale::from_name(name).map_err(ApiError::bad_request)
 }
 
 /// Canonical string for a scale, used to canonicalize workload specs
 /// before hashing.
 pub fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Default => "default",
-    }
+    scale.name()
 }
 
 /// Parses an optional replacement-policy string (`None` means LRU).

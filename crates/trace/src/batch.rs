@@ -12,8 +12,9 @@
 //! [`default_mode`] is the process-wide switch: batched unless the
 //! `GMAP_SCALAR_KERNELS` environment variable is set to `1`/`true` (the
 //! escape hatch for A/B perf measurement and for bisecting a suspected
-//! kernel bug). The perf tracker asserts the batched path is selected in
-//! CI, so a regression to scalar cannot land silently.
+//! kernel bug). Tests in this crate and the root crate assert the batched
+//! path is selected, and perfbench refuses to measure the scalar one, so
+//! a regression to scalar cannot land silently.
 
 use std::sync::OnceLock;
 

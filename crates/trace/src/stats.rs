@@ -132,8 +132,7 @@ const LATENCY_BUCKETS: usize = 64;
 /// conservative (never understated) estimate with ≤ 2× resolution error —
 /// the standard trade-off of log-bucketed histograms (HdrHistogram, etc.).
 ///
-/// Used by the `gmap serve` `/metrics` endpoint and the `perf` tracker's
-/// phase timings.
+/// Used by the `gmap serve` `/metrics` endpoint.
 ///
 /// ```
 /// use gmap_trace::stats::LatencyHistogram;

@@ -203,11 +203,10 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-fn parse_scale(args: &[String]) -> Scale {
+fn parse_scale(args: &[String]) -> Result<Scale, String> {
     match flag(args, &["--scale"]) {
-        Some("tiny") => Scale::Tiny,
-        Some("default") => Scale::Default,
-        _ => Scale::Small,
+        None => Ok(Scale::Small),
+        Some(s) => Scale::from_name(s),
     }
 }
 
@@ -271,7 +270,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let out = flag(args, &["-o", "--output"]).ok_or("missing -o FILE")?;
     let mut profile = match (flag(args, &["--workload"]), flag(args, &["--trace"])) {
         (Some(name), None) => {
-            let kernel = workloads::by_name(name, parse_scale(args))
+            let kernel = workloads::by_name(name, parse_scale(args)?)
                 .ok_or_else(|| format!("unknown workload {name:?} (see `gmap list`)"))?;
             profile_kernel(&kernel, &ProfilerConfig::default())
         }
@@ -320,7 +319,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     // service computes for the same profile request, so served responses
     // can be checked against a locally computed key.
     if let Some(w) = flag(args, &["--workload"]) {
-        let scale = gmap::serve::api::scale_name(parse_scale(args));
+        let scale = gmap::serve::api::scale_name(parse_scale(args)?);
         println!(
             "model id: {}",
             gmap::serve::handlers::model_id_for(w, scale)
@@ -382,7 +381,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         has_flag(args, "--all"),
     ) {
         (Some(name), None, None, false) => {
-            vec![workloads::by_name(name, parse_scale(args))
+            vec![workloads::by_name(name, parse_scale(args)?)
                 .ok_or_else(|| format!("unknown workload {name:?} (see `gmap list`)"))?]
         }
         (None, Some(path), None, false) => vec![load_spec(path)?],
@@ -394,7 +393,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
                 )
             })?]
         }
-        (None, None, None, true) => workloads::all(parse_scale(args)),
+        (None, None, None, true) => workloads::all(parse_scale(args)?),
         _ => return Err("pass exactly one of --workload, --spec, --fixture, or --all".into()),
     };
     if let Some(out) = flag(args, &["--dump-spec"]) {
@@ -583,7 +582,7 @@ fn cmd_fidelity(args: &[String]) -> Result<(), String> {
     ) {
         (Some(path), None) => load_profile(path)?,
         (None, Some(name)) => {
-            let kernel = workloads::by_name(name, parse_scale(args))
+            let kernel = workloads::by_name(name, parse_scale(args)?)
                 .ok_or_else(|| format!("unknown workload {name:?}"))?;
             profile_kernel(&kernel, &ProfilerConfig::default())
         }
@@ -644,7 +643,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         flag(args, &["-p", "--profile"]),
     ) {
         (Some(name), None) => {
-            let kernel = workloads::by_name(name, parse_scale(args))
+            let kernel = workloads::by_name(name, parse_scale(args)?)
                 .ok_or_else(|| format!("unknown workload {name:?}"))?;
             let streams = gmap::core::model::original_streams(&kernel);
             (streams, kernel.launch, format!("original {name}"))
@@ -1071,6 +1070,18 @@ mod tests {
         ));
         assert!(parse_policy(&s(&["--policy", "bogus"])).is_err());
         assert_eq!(parse_policy(&[]).expect("default"), Policy::Lrr);
+    }
+
+    #[test]
+    fn scale_parsing_rejects_unknown_names() {
+        assert_eq!(parse_scale(&[]).expect("absent"), Scale::Small);
+        assert_eq!(
+            parse_scale(&s(&["--scale", "default"])).expect("valid"),
+            Scale::Default
+        );
+        let err = run(&s(&["analyze", "--workload", "kmeans", "--scale", "smal"]))
+            .expect_err("near-miss scale name");
+        assert!(err.contains("\"smal\""), "error names the bad value: {err}");
     }
 
     #[test]

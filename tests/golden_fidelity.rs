@@ -60,8 +60,8 @@ fn metric_name(metric: Metric) -> &'static str {
     }
 }
 
-/// The figure grids under golden control — the same five the perf
-/// tracker gates on.
+/// The figure grids under golden control: fig6a–6e, every one of which
+/// must plan single-pass.
 fn grids() -> Vec<(&'static str, Vec<SimtConfig>, Metric)> {
     vec![
         ("fig6a_l1", sweeps::l1_sweep(), Metric::L1MissPct),
@@ -185,6 +185,11 @@ fn figure_series_match_goldens() {
         stats.misses,
         2 * names.len() as u64,
         "every grid shares one capture pair per benchmark"
+    );
+    assert_eq!(
+        stats.hits,
+        (grids().len() as u64 - 1) * 2 * names.len() as u64,
+        "every grid after the first reuses every capture"
     );
     engine::capture_cache_clear();
 }
